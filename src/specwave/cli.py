@@ -27,7 +27,7 @@ from .config import (ConfigError, bound_params_from_declared, config_digest,
 from .coefficients import NoiseIncrement
 from .integrator import BlowUpError, SimConfig, noise_block, path_seed, step
 from .mc import run_study
-from .spectral import norm_bold_hr, project
+from .spectral import _weighted_norm, norm_bold_hr, project
 
 DEFAULT_SEED = 12345
 
@@ -78,13 +78,22 @@ def cmd_simulate(args) -> int:
     dt = cfg.dt
     noise = noise_block(path_seed(seed, 0), cfg.n_steps, cfg.m_noise, dt)
     state = project(cfg.initial, cfg.n_ref)
-    rows = [(0, 0.0, norm_bold_hr(state, 0.0, cfg.model),
-             norm_bold_hr(state, rho, cfg.model))]
+    # the weights of norm_bold_hr at r = 0 and r = rho, formed once; at rho = 0
+    # both norms are the same number
+    al = cfg.model.abs_lam(cfg.n_ref)
+    with np.errstate(over="ignore"):
+        w_0 = (al**0.0, al**-1.0)
+        w_rho = (al**rho, al ** (rho - 1.0))
+
+    def norms(state):
+        n_0 = _weighted_norm(state, *w_0)
+        return n_0, n_0 if rho == 0.0 else _weighted_norm(state, *w_rho)
+
+    rows = [(0, 0.0, *norms(state))]
     for k in range(cfg.n_steps):
         state = step(state, dt, NoiseIncrement(noise[k], dt), cfg.spec, cfg.grid,
                      cfg.model, step_index=k)
-        rows.append((k + 1, (k + 1) * dt, norm_bold_hr(state, 0.0, cfg.model),
-                     norm_bold_hr(state, rho, cfg.model)))
+        rows.append((k + 1, (k + 1) * dt, *norms(state)))
 
     with open(os.path.join(out_dir, "norms.csv"), "w", encoding="utf-8") as fh:
         fh.write("step,t,norm_h0,norm_hrho\n")

@@ -13,6 +13,13 @@ a state to (0, f(x, v(x))) and the diffusion maps a noise increment dW to
 * ``additive``: fixed column per noise mode, independent of the state.
 * ``zero``: no diffusion.
 
+The functions here evaluate one increment with the grid's sine transforms;
+the single-path stepper calls them.  The batched engine of the studies
+(``integrator.run_chunk``) evaluates the same Anderson, pointwise and drift
+fields through its cached dense synthesis and projection tables instead,
+synthesizing each level's position once per step; the additive kind goes
+through ``diffusion_vel`` in both.
+
 Noise increments are i.i.d. Normal(0, dt) coefficients of the first M basis
 modes of a cylindrical Wiener process; M is fixed per study.
 """
@@ -146,14 +153,8 @@ def drift_vel(pos: np.ndarray, spec: CoefficientSpec, grid: GridWorkspace,
 
 
 def diffusion_vel(pos: np.ndarray, dw: np.ndarray, spec: CoefficientSpec,
-                  grid: GridWorkspace, n_out: int,
-                  w_vals: np.ndarray | None = None) -> np.ndarray:
-    """Velocity coefficients of the diffusion increment, batched on last axis.
-
-    ``w_vals`` may carry pre-synthesized grid values of the noise field
-    (shared across Galerkin levels in coupled runs); results are identical
-    to synthesizing in place.
-    """
+                  grid: GridWorkspace, n_out: int) -> np.ndarray:
+    """Velocity coefficients of the diffusion increment, batched on last axis."""
     m = dw.shape[-1]
     if spec.diffusion == "zero":
         return np.zeros(pos.shape[:-1] + (n_out,))
@@ -175,8 +176,7 @@ def diffusion_vel(pos: np.ndarray, dw: np.ndarray, spec: CoefficientSpec,
             k = min(n_out, m)
             out[..., :k] += spec.alpha * dw[..., :k]
         if spec.beta != 0.0:
-            if w_vals is None:
-                w_vals = grid.synthesize(dw)
+            w_vals = grid.synthesize(dw)
             v_vals = grid.synthesize(pos)
             out += spec.beta * grid.product_to_sine(v_vals * w_vals, n_out)
         _check_finite(out, "anderson diffusion")
@@ -184,8 +184,7 @@ def diffusion_vel(pos: np.ndarray, dw: np.ndarray, spec: CoefficientSpec,
     # pointwise b(x, v(x)) dW(x): plain oversampled quadrature
     if grid.n_points < max(n_out, m):
         raise ValueError("grid too coarse: need n_points >= max(n_modes, m_noise)")
-    if w_vals is None:
-        w_vals = grid.synthesize(dw)
+    w_vals = grid.synthesize(dw)
     v_vals = grid.synthesize(pos)
     b_vals = np.asarray(spec.pointwise_b(grid.nodes, v_vals), dtype=np.float64)
     b_vals = np.broadcast_to(b_vals, v_vals.shape)

@@ -203,7 +203,11 @@ def simulate_coupled(config: SimConfig, seed, *, coarsen: int = 1) -> dict[int, 
 #
 # The study harness advances whole blocks of paths at once, with the sine
 # synthesis and the exact product projection realized as cached dense
-# matrices so every step reduces to a few BLAS products.  Semantics are
+# matrices so every step reduces to a few BLAS products.  Each level-step
+# synthesizes its position on the grid once; the Anderson product, pointwise
+# b(x, v) dW and the drift f(x, v) all read those values, and pointwise and
+# drift fields are analyzed with the transposed synthesis table (the
+# discrete sine transform restricted to the level's modes).  Semantics are
 # those of simulate_coupled path by path; terminal states agree with the
 # single-path reference to floating-point reassociation (~1e-15), which the
 # test suite pins at 1e-12.
@@ -261,8 +265,10 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
     sqdt_fine = np.sqrt(config.dt)
 
     anderson = spec.diffusion == "anderson"
+    pointwise = spec.diffusion == "pointwise"
+    drift = spec.drift
     synth = proj = None
-    if anderson or spec.diffusion == "pointwise":
+    if anderson or pointwise or drift is not None:
         synth, proj = _engine_tables(max(model.n_modes, config.m_noise),
                                      grid.n_points)
 
@@ -289,10 +295,12 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
             _record_moment(moments, i, 0, states[level], weights[level])
 
     gens = [np.random.default_rng(path_seed(master_seed, idx)) for idx in path_indices]
-    needs_wvals = (anderson and spec.beta != 0.0) or spec.diffusion == "pointwise"
+    needs_wvals = (anderson and spec.beta != 0.0) or pointwise
+    # one grid synthesis of the position per level-step serves every field
+    synth_pos = needs_wvals or drift is not None
     burst_fine = _NOISE_BURST * coarsen
     alpha, beta = spec.alpha, spec.beta
-    u_buf = np.empty((b, grid.n_points)) if needs_wvals and anderson else None
+    v_buf = np.empty((b, grid.n_points)) if synth_pos else None
 
     k = 0
     fine_done = 0
@@ -312,29 +320,37 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
             for i, level in enumerate(levels):
                 pos, vel = states[level]
                 new_pos, new_vel, tmp = scratch[level]
-                try:
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        if anderson:
-                            if beta != 0.0:
-                                u = np.matmul(pos, synth[:level], out=u_buf)
-                                u *= w_vals
-                                incr = np.matmul(u, proj[:, :level], out=tmp)
-                                if beta != 1.0:
-                                    incr *= beta
-                                if alpha != 0.0:
-                                    kk = min(level, m)
-                                    incr[:, :kk] += alpha * dwk[:, :kk]
-                                np.add(vel, incr, out=vel)
-                            elif alpha != 0.0:
-                                vel = vel.copy()
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if synth_pos:
+                        s_level = synth[:level]
+                        v_vals = np.matmul(pos, s_level, out=v_buf)
+                    dv = None
+                    if drift is not None:
+                        # analyzed before the Anderson product reuses v_buf
+                        f_vals = _on_grid(drift, grid.nodes, v_vals)
+                        _raise_if_nonfinite(k, level, path_indices, f_vals)
+                        dv = (f_vals @ s_level.T) / grid.intervals
+                    if anderson:
+                        if beta != 0.0:
+                            u = v_vals
+                            u *= w_vals
+                            incr = np.matmul(u, proj[:, :level], out=tmp)
+                            if beta != 1.0:
+                                incr *= beta
+                            if alpha != 0.0:
                                 kk = min(level, m)
-                                vel[:, :kk] += alpha * dwk[:, :kk]
-                        elif spec.diffusion != "zero":
-                            vel = vel + diffusion_vel(pos, dwk, spec, grid, level,
-                                                      w_vals=w_vals)
-                        dv = drift_vel(pos, spec, grid, level)
-                except NonFiniteFieldError:
-                    raise BlowUpError(k, level=level) from None
+                                incr[:, :kk] += alpha * dwk[:, :kk]
+                            np.add(vel, incr, out=vel)
+                        elif alpha != 0.0:
+                            vel = vel.copy()
+                            kk = min(level, m)
+                            vel[:, :kk] += alpha * dwk[:, :kk]
+                    elif pointwise:
+                        u = _on_grid(spec.pointwise_b, grid.nodes, v_vals) * w_vals
+                        _raise_if_nonfinite(k, level, path_indices, u)
+                        vel = vel + (u @ s_level.T) / grid.intervals
+                    elif spec.diffusion != "zero":
+                        vel = vel + diffusion_vel(pos, dwk, spec, grid, level)
                 if dv is not None:
                     vel = vel + dt * dv
                 cos_t, sin_over_mu, neg_mu_sin = tables[level]
@@ -345,15 +361,7 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
                     np.multiply(pos, neg_mu_sin, out=new_vel)
                     np.multiply(vel, cos_t, out=tmp)
                     new_vel += tmp
-                    # a NaN or infinity poisons the sums; locate precisely only then
-                    probe = float(new_pos.sum()) + float(new_vel.sum())
-                if not np.isfinite(probe):
-                    finite = (np.isfinite(new_pos).all(axis=1)
-                              & np.isfinite(new_vel).all(axis=1))
-                    if not finite.all():
-                        bad = int(np.flatnonzero(~finite)[0])
-                        raise BlowUpError(k, level=level,
-                                          path_index=path_indices[bad])
+                    _raise_if_nonfinite(k, level, path_indices, new_pos, new_vel)
                 states[level] = (new_pos, new_vel)
                 scratch[level] = (pos, vel, tmp)
                 if moments is not None:
@@ -378,6 +386,23 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
             gaps[:, j] = (dp * dp).sum(axis=1) + (dv * dv * inv_lam).sum(axis=1)
         out["strong_sq"] = gaps
     return out
+
+
+def _on_grid(fn, nodes, v_vals):
+    """fn(x, v(x)) on every node of every row, as a C-ordered array."""
+    vals = np.asarray(fn(nodes, v_vals), dtype=np.float64)
+    return np.ascontiguousarray(np.broadcast_to(vals, v_vals.shape))
+
+
+def _raise_if_nonfinite(step_index, level, path_indices, *fields):
+    """Raise BlowUpError naming the first path whose row of a field is not finite."""
+    # a NaN or infinity poisons the sums; locate precisely only then
+    if np.isfinite(sum(float(f.sum()) for f in fields)):
+        return
+    finite = np.logical_and.reduce([np.isfinite(f).all(axis=1) for f in fields])
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
+        raise BlowUpError(step_index, level=level, path_index=path_indices[bad])
 
 
 def _record_moment(moments, i, k, state, weights):

@@ -174,6 +174,54 @@ class TestSimulateCoupled:
         assert gaps[0] > gaps[1] > gaps[2]
 
 
+def _tanh_drift(x, y):
+    return -np.tanh(y)
+
+
+class TestBatchMatchesSingle:
+    """run_chunk's grid fields against the single-path stepper's transforms."""
+
+    @staticmethod
+    def _config(spec, grid_points=0, n_ref=16, m_noise=16):
+        model = sw.build_model(1.0, n_ref)
+        pos = 0.5 / np.arange(1, n_ref + 1)
+        return sw.SimConfig(model=model, levels=(4, 8), t_final=1.0, n_steps=16,
+                            m_noise=m_noise, spec=spec,
+                            initial=sw.PairState(pos, np.zeros(n_ref)),
+                            grid_points=grid_points)
+
+    @pytest.mark.parametrize("spec, grid_points", [
+        # the semilinear shape on the default grid 4 * max(n_ref, m_noise)
+        (sw.CoefficientSpec(diffusion="pointwise", pointwise_b=lambda x, y: 0.5 * np.sin(y),
+                            drift=_tanh_drift), 0),
+        (sw.CoefficientSpec(diffusion="anderson", alpha=0.3, beta=1.0, drift=_tanh_drift),
+         32),
+        (sw.CoefficientSpec(diffusion="additive", columns=0.5 * np.eye(16),
+                            drift=_tanh_drift), 0),
+    ], ids=["pointwise-drift", "anderson-drift", "additive-drift"])
+    def test_matches_simulate_coupled(self, spec, grid_points):
+        import specwave.mc as mc
+
+        cfg = self._config(spec, grid_points)
+        phi = mc.exp_neg_norm()
+        levels = (cfg.n_ref, *cfg.levels)
+        paths = range(2, 5)
+        out = run_chunk(cfg, levels, paths, 21, phi=phi, strong_vs_first=True)
+        for row, idx in enumerate(paths):
+            coupled = sw.simulate_coupled(cfg, sw.path_seed(21, idx))
+            ref = coupled[cfg.n_ref]
+            for j, level in enumerate(levels):
+                want = phi.evaluate(coupled[level], cfg.model)
+                assert out["phi"][row, j] == pytest.approx(want, rel=1e-12, abs=0)
+            for j, level in enumerate(cfg.levels):
+                dp = ref.pos.copy()
+                dp[:level] -= coupled[level].pos
+                dv = ref.vel.copy()
+                dv[:level] -= coupled[level].vel
+                gap = sw.norm_bold_hr(sw.PairState(dp, dv), 0.0, cfg.model) ** 2
+                assert out["strong_sq"][row, j] == pytest.approx(gap, rel=1e-12, abs=0)
+
+
 class TestBlowUp:
     @staticmethod
     def _exploding_config():
@@ -198,6 +246,26 @@ class TestBlowUp:
         with pytest.raises(sw.BlowUpError) as err:
             run_chunk(cfg, (8, 4), range(3, 7), 14)
         assert err.value.level in (4, 8)
+        assert err.value.path_index in range(3, 7)
+
+    @pytest.mark.parametrize("field", ["pointwise_b", "drift"])
+    def test_chunk_nonfinite_field_names_path(self, field):
+        # the coefficient overflows on the third row of the block only
+        def overflowing(x, y):
+            out = np.sin(y)
+            out[2] = np.inf
+            return out
+
+        fields = {"pointwise_b": lambda x, y: np.sin(y), "drift": None}
+        fields[field] = overflowing
+        model = sw.build_model(1.0, 8)
+        spec = sw.CoefficientSpec(diffusion="pointwise", **fields)
+        cfg = sw.SimConfig(model=model, levels=(4,), t_final=1.0, n_steps=8, m_noise=8,
+                           spec=spec, initial=sw.PairState(np.ones(8), np.zeros(8)))
+        with pytest.raises(sw.BlowUpError) as err:
+            run_chunk(cfg, (8, 4), range(3, 7), 14)
+        assert (err.value.step_index, err.value.level, err.value.path_index) == (0, 8, 5)
+        assert "step 0, level 8, path 5" in str(err.value)
 
 
 class TestCoarsening:
