@@ -11,13 +11,10 @@ __version__ = "0.1.0"
 from .analysis import (BoundParams, ExponentPair, RateFit, fit_rate,
                        mittag_envelope, predicted_exponent,
                        theoretical_weak_bound)
-from .coefficients import (CoefficientSpec, NoiseIncrement, NonFiniteFieldError,
-                           apply_diffusion, apply_drift, preset, sample_noise)
-from .integrator import (BlowUpError, SimConfig, noise_block, path_seed,
-                         simulate_coupled, simulate_path, step)
+from .coefficients import CoefficientSpec, NonFiniteFieldError, preset
+from .integrator import BlowUpError, SimConfig, noise_block, path_seed, step
 from .mc import (ErrorTable, StudyReport, TestFunctional, coordinate,
-                 cos_pairing, estimate_functional, exp_neg_norm, run_study,
-                 weak_strong_study)
+                 cos_pairing, estimate_functional, exp_neg_norm, run_study)
 from .propagator import propagate
 from .spectral import (GridWorkspace, PairState, SpectralModel, analyze_field,
                        build_model, eval_field, hs_norm_lambda_pow,
@@ -27,12 +24,10 @@ __all__ = [
     "__version__",
     "BoundParams", "ExponentPair", "RateFit", "fit_rate", "mittag_envelope",
     "predicted_exponent", "theoretical_weak_bound",
-    "CoefficientSpec", "NoiseIncrement", "NonFiniteFieldError",
-    "apply_diffusion", "apply_drift", "preset", "sample_noise",
-    "BlowUpError", "SimConfig", "noise_block", "path_seed",
-    "simulate_coupled", "simulate_path", "step",
+    "CoefficientSpec", "NonFiniteFieldError", "preset",
+    "BlowUpError", "SimConfig", "noise_block", "path_seed", "step",
     "ErrorTable", "StudyReport", "TestFunctional", "coordinate", "cos_pairing",
-    "estimate_functional", "exp_neg_norm", "run_study", "weak_strong_study",
+    "estimate_functional", "exp_neg_norm", "run_study",
     "propagate",
     "GridWorkspace", "PairState", "SpectralModel", "analyze_field",
     "build_model", "eval_field", "hs_norm_lambda_pow", "norm_bold_hr",

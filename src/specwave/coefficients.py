@@ -1,4 +1,4 @@
-"""Drift and diffusion coefficients, noise truncation, spectral products.
+"""Drift and diffusion coefficients and their spectral products.
 
 Both coefficient families act on the velocity component only: the drift maps
 a state to (0, f(x, v(x))) and the diffusion maps a noise increment dW to
@@ -20,29 +20,26 @@ fields through its cached dense synthesis and projection tables instead,
 synthesizing each level's position once per step; the additive kind goes
 through ``diffusion_vel`` in both.
 
-Noise increments are i.i.d. Normal(0, dt) coefficients of the first M basis
-modes of a cylindrical Wiener process; M is fixed per study.
+The noise increments dW are i.i.d. Normal(0, dt) coefficients of the first M
+basis modes of a cylindrical Wiener process (``integrator.noise_block`` draws
+them); M is fixed per study.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .spectral import PairState, GridWorkspace, SpectralModel
+from .spectral import GridWorkspace
 
 __all__ = [
     "DIFFUSION_KINDS",
     "PRESETS",
     "NonFiniteFieldError",
     "CoefficientSpec",
-    "NoiseIncrement",
     "preset",
-    "sample_noise",
-    "apply_drift",
-    "apply_diffusion",
 ]
 
 DIFFUSION_KINDS = ("anderson", "pointwise", "additive", "zero")
@@ -103,31 +100,6 @@ def preset(name: str, *, m_noise: int | None = None, n_modes: int | None = None,
         cols[:k, :k] = sigma * np.eye(k)
         return CoefficientSpec(diffusion="additive", columns=cols)
     raise ValueError(f"unknown preset {name!r}; choose from {PRESETS}")
-
-
-@dataclass(frozen=True)
-class NoiseIncrement:
-    """Increments <e_k, dW> for k = 1..M over a step of length dt."""
-
-    dw: np.ndarray
-    dt: float
-
-    def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        dw = np.asarray(self.dw, dtype=np.float64)
-        if dw.ndim != 1 or not np.all(np.isfinite(dw)):
-            raise ValueError("dw must be a finite vector")
-        object.__setattr__(self, "dw", dw)
-
-
-def sample_noise(rng: np.random.Generator, m_modes: int, dt: float) -> NoiseIncrement:
-    """Draw one truncated Wiener increment from a deterministic stream."""
-    if m_modes < 1:
-        raise ValueError(f"m_modes must be at least 1, got {m_modes}")
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    return NoiseIncrement(rng.standard_normal(m_modes) * np.sqrt(dt), dt)
 
 
 def _check_finite(values: np.ndarray, what: str):
@@ -191,21 +163,3 @@ def diffusion_vel(pos: np.ndarray, dw: np.ndarray, spec: CoefficientSpec,
     u = b_vals * w_vals
     _check_finite(u, "pointwise diffusion")
     return grid.analyze(u, n_out)
-
-
-def apply_drift(state: PairState, spec: CoefficientSpec, grid: GridWorkspace,
-                model: SpectralModel) -> PairState:
-    """Drift increment (0, projection of f(., v(.))) as a pair state."""
-    n = state.n_modes
-    vel = drift_vel(state.pos, spec, grid, n)
-    if vel is None:
-        vel = np.zeros(n)
-    return PairState(np.zeros(n), vel)
-
-
-def apply_diffusion(state: PairState, noise: NoiseIncrement, spec: CoefficientSpec,
-                    grid: GridWorkspace, model: SpectralModel) -> PairState:
-    """Diffusion increment (0, projection of g(v) dW) as a pair state."""
-    n = state.n_modes
-    vel = diffusion_vel(state.pos, noise.dw, spec, grid, n)
-    return PairState(np.zeros(n), vel)

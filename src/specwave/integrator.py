@@ -26,10 +26,9 @@ from functools import lru_cache
 import numpy as np
 import scipy.fft
 
-from .coefficients import (CoefficientSpec, NoiseIncrement, NonFiniteFieldError,
-                           diffusion_vel, drift_vel)
+from .coefficients import CoefficientSpec, NonFiniteFieldError, diffusion_vel, drift_vel
 from .propagator import propagate_arrays, rotation_tables
-from .spectral import GridWorkspace, PairState, SpectralModel, project
+from .spectral import GridWorkspace, PairState, SpectralModel
 
 __all__ = [
     "BlowUpError",
@@ -37,8 +36,6 @@ __all__ = [
     "path_seed",
     "noise_block",
     "step",
-    "simulate_path",
-    "simulate_coupled",
 ]
 
 
@@ -119,16 +116,19 @@ def noise_block(seed, n_steps: int, m_noise: int, dt: float) -> np.ndarray:
     return rng.standard_normal((n_steps, m_noise)) * np.sqrt(dt)
 
 
-def step(state: PairState, dt: float, noise: NoiseIncrement, spec: CoefficientSpec,
+def step(state: PairState, dt: float, dw: np.ndarray, spec: CoefficientSpec,
          grid: GridWorkspace, model: SpectralModel,
          step_index: int | None = None) -> PairState:
-    """One exponential-Euler step: add increments, then rotate exactly."""
+    """One exponential-Euler step: add increments, then rotate exactly.
+
+    ``dw`` holds the noise increments <e_k, dW> of the step, k = 1..M.
+    """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     n = state.n_modes
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            vel = state.vel + diffusion_vel(state.pos, noise.dw, spec, grid, n)
+            vel = state.vel + diffusion_vel(state.pos, dw, spec, grid, n)
             dv = drift_vel(state.pos, spec, grid, n)
     except NonFiniteFieldError:
         # overflow of a coefficient evaluation is a blow-up of the path
@@ -142,63 +142,6 @@ def step(state: PairState, dt: float, noise: NoiseIncrement, spec: CoefficientSp
     return PairState(new_pos, new_vel)
 
 
-def _coarsened(noise: np.ndarray, coarsen: int) -> np.ndarray:
-    """Re-aggregate fine increments onto a coarser grid of the same path."""
-    if coarsen == 1:
-        return noise
-    k = noise.shape[-2]
-    if k % coarsen:
-        raise ValueError(f"coarsen={coarsen} must divide n_steps={k}")
-    shape = noise.shape[:-2] + (k // coarsen, coarsen, noise.shape[-1])
-    return noise.reshape(shape).sum(axis=-2)
-
-
-def simulate_path(config: SimConfig, level: int, seed, *, coarsen: int = 1) -> PairState:
-    """Terminal state of one path at one Galerkin level.
-
-    ``seed`` is a per-path seed (int or SeedSequence); the result is a pure
-    function of (config, level, seed).
-    """
-    if level != config.n_ref and level not in config.levels:
-        raise ValueError(f"level {level} not in configured levels")
-    noise = _coarsened(noise_block(seed, config.n_steps, config.m_noise, config.dt),
-                       coarsen)
-    return _run_one(config, level, noise, seed)
-
-
-def _run_one(config: SimConfig, level: int, noise: np.ndarray, seed) -> PairState:
-    dt = config.t_final / noise.shape[0]
-    state = project(config.initial, level)
-    state = PairState(state.pos[:level], state.vel[:level])
-    for k in range(noise.shape[0]):
-        try:
-            state = step(state, dt, NoiseIncrement(noise[k], dt), config.spec,
-                         config.grid, config.model, step_index=k)
-        except BlowUpError:
-            raise BlowUpError(k, level=level, path_index=_seed_repr(seed)) from None
-    return state
-
-
-def _seed_repr(seed):
-    if isinstance(seed, np.random.SeedSequence):
-        return (seed.entropy, seed.spawn_key)
-    return seed
-
-
-def simulate_coupled(config: SimConfig, seed, *, coarsen: int = 1) -> dict[int, PairState]:
-    """Terminal states of all levels plus the reference under shared noise.
-
-    Per-level results are bitwise equal to running ``simulate_path`` with the
-    same seed, because every level replays the identical increment sequence.
-    """
-    noise = _coarsened(noise_block(seed, config.n_steps, config.m_noise, config.dt),
-                       coarsen)
-    out: dict[int, PairState] = {}
-    for level in (*config.levels, config.n_ref):
-        out[level] = _run_one(config, level, noise, seed)
-    return out
-
-
 # --- batched engine -------------------------------------------------------
 #
 # The study harness advances whole blocks of paths at once, with the sine
@@ -208,9 +151,9 @@ def simulate_coupled(config: SimConfig, seed, *, coarsen: int = 1) -> dict[int, 
 # b(x, v) dW and the drift f(x, v) all read those values, and pointwise and
 # drift fields are analyzed with the transposed synthesis table (the
 # discrete sine transform restricted to the level's modes).  Semantics are
-# those of simulate_coupled path by path; terminal states agree with the
-# single-path reference to floating-point reassociation (~1e-15), which the
-# test suite pins at 1e-12.
+# those of a loop of ``step`` per path and level under the path's increments;
+# terminal states agree with that loop to floating-point reassociation
+# (~1e-15), which the test suite pins at 1e-12.
 
 @lru_cache(maxsize=8)
 def _engine_tables(n_modes_max: int, g: int):

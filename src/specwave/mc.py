@@ -55,7 +55,6 @@ __all__ = [
     "ErrorTable",
     "StudyReport",
     "estimate_functional",
-    "weak_strong_study",
     "run_study",
 ]
 
@@ -297,9 +296,3 @@ def run_study(config: SimConfig, phi: TestFunctional, n_paths: int,
     return StudyReport(table, config.n_ref, master_seed, phi.kind, phi.bounded,
                        monitor_rho, moment_mean, moment_stderr)
 
-
-def weak_strong_study(config: SimConfig, phi: TestFunctional, n_paths: int,
-                      master_seed: int, *, workers: int | None = None) -> ErrorTable:
-    """Convenience wrapper around run_study returning only the error table."""
-    return run_study(config, phi, n_paths, master_seed, workers=workers,
-                     monitor_rho=None).table

@@ -31,3 +31,42 @@ def zero_config(n_ref=8, levels=(2, 4, 6), initial_pos=None, initial_vel=None):
     return sw.SimConfig(model=model, levels=levels, t_final=1.0, n_steps=32,
                         m_noise=8, spec=sw.preset("zero"),
                         initial=sw.PairState(pos, vel))
+
+
+def step_loop(config, master_seed, path_index, coarsen=1):
+    """Terminal states of one path at every level and the reference, by ``step``.
+
+    The single-path arithmetic that ``run_chunk`` batches: the path's
+    ``noise_block`` increments, summed over ``coarsen`` consecutive steps,
+    drive each level from the projected initial state.
+    """
+    noise = sw.noise_block(sw.path_seed(master_seed, path_index), config.n_steps,
+                           config.m_noise, config.dt)
+    noise = noise.reshape(-1, coarsen, config.m_noise).sum(axis=1)
+    dt = config.t_final / noise.shape[0]
+    out = {}
+    for level in (*config.levels, config.n_ref):
+        state = sw.PairState(config.initial.pos[:level], config.initial.vel[:level])
+        for dw in noise:
+            state = sw.step(state, dt, dw, config.spec, config.grid, config.model)
+        out[level] = state
+    return out
+
+
+def expected_row(states, config, phi):
+    """One path's ``run_chunk`` row from its ``step_loop`` states.
+
+    Returns phi at the reference and every level, and the squared pair-space
+    gaps of the levels to the reference, in ``run_chunk``'s column order.
+    """
+    ref = states[config.n_ref]
+    phis = [phi.evaluate(states[level], config.model)
+            for level in (config.n_ref, *config.levels)]
+    gaps = []
+    for level in config.levels:
+        dp = ref.pos.copy()
+        dp[:level] -= states[level].pos
+        dv = ref.vel.copy()
+        dv[:level] -= states[level].vel
+        gaps.append(sw.norm_bold_hr(sw.PairState(dp, dv), 0.0, config.model) ** 2)
+    return np.array(phis), np.array(gaps)

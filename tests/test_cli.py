@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -8,7 +9,6 @@ import numpy as np
 import pytest
 
 import specwave as sw
-from specwave import validate as val
 from specwave.cli import main
 
 ZERO_CONFIG = {
@@ -86,6 +86,18 @@ class TestSimulate:
         cfg = write_config(tmp_path, exploding)
         assert main(["simulate", "--config", cfg, "--seed", "1",
                      "--out", str(tmp_path / "x")]) == 3
+
+    def test_blow_up_names_level_and_path(self, tmp_path, capsys):
+        exploding = json.loads(json.dumps(SMALL_ANDERSON))
+        exploding["model"].update({"n_ref": 8, "grid_points": 32})
+        exploding["time"]["n_steps"] = 8
+        exploding["noise"]["m_noise"] = 8
+        exploding["coefficients"] = {"kind": "anderson", "beta": 1e160}
+        exploding["study"]["levels"] = [2, 4]
+        cfg = write_config(tmp_path, exploding)
+        assert main(["simulate", "--config", cfg, "--seed", "1",
+                     "--out", str(tmp_path / "x")]) == 3
+        assert re.search(r"step \d+, level 8, path 0$", capsys.readouterr().err.strip())
 
 
 class TestConvergence:
@@ -212,11 +224,11 @@ class TestBound:
 
 class TestValidate:
     def test_quick_suite_passes(self, capsys):
-        assert main(["validate", "--quick"]) == 0
+        assert main(["validate"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
-    def test_injected_sign_error_fails_isometry(self):
+    def test_injected_sign_error_fails_isometry(self, monkeypatch, capsys):
         # mutation check: flip the sign of the velocity rotation term
         def broken(state, t, model):
             from specwave.propagator import rotation_tables
@@ -225,9 +237,30 @@ class TestValidate:
             new_vel = (mu * sin_t) * state.pos + cos_t * state.vel
             return sw.PairState(new_pos, new_vel)
 
-        results = val.run_checks(val.quick_checks(propagate_fn=broken))
-        by_name = {r.name: r for r in results}
-        assert not by_name["group isometry"].passed
+        monkeypatch.setattr("specwave.propagator.propagate", broken)
+        assert main(["validate"]) == 1
+        fails = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("FAIL")]
+        assert any("group isometry" in line for line in fails)
+
+    def test_sign_error_fails_under_optimized_interpreter(self):
+        # python -O strips assert statements; the checks must still fail
+        script = (
+            "import specwave as sw, specwave.propagator as p\n"
+            "from specwave.cli import main\n"
+            "def broken(st, t, model):\n"
+            "    c, s, mu = p.rotation_tables(model, t, st.n_modes)\n"
+            "    return sw.PairState(c * st.pos + s / mu * st.vel,\n"
+            "                        mu * s * st.pos + c * st.vel)\n"
+            "p.propagate = broken\n"
+            "raise SystemExit(main(['validate']))\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sw.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 1
+        assert "FAIL  group isometry" in run.stdout
 
 
 class TestExpressionSubset:

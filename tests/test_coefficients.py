@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import specwave as sw
-from specwave.coefficients import NonFiniteFieldError, diffusion_vel
+from specwave.coefficients import NonFiniteFieldError, diffusion_vel, drift_vel
 
 SQRT2 = math.sqrt(2.0)
 
@@ -33,14 +33,11 @@ class TestSpecConstruction:
 
 class TestSampleNoise:
     def test_deterministic(self):
-        a = sw.sample_noise(np.random.default_rng(5), 8, 0.25)
-        b = sw.sample_noise(np.random.default_rng(5), 8, 0.25)
-        assert np.array_equal(a.dw, b.dw)
-        assert a.dt == 0.25
-
-    def test_zero_dt_rejected(self):
-        with pytest.raises(ValueError):
-            sw.sample_noise(np.random.default_rng(0), 4, 0.0)
+        a = sw.noise_block(sw.path_seed(5, 0), 4, 8, 0.25)
+        b = sw.noise_block(sw.path_seed(5, 0), 4, 8, 0.25)
+        assert a.shape == (4, 8)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, sw.noise_block(sw.path_seed(5, 1), 4, 8, 0.25))
 
     def test_variance(self):
         # chi-square concentration: mean of dw^2/dt over 1e5 draws
@@ -48,51 +45,48 @@ class TestSampleNoise:
         dt = 0.3
         draws = rng.standard_normal(100_000) * math.sqrt(dt)
         assert abs(np.mean(draws**2 / dt) - 1.0) < 0.02
-        one = sw.sample_noise(np.random.default_rng(1), 100_000, dt)
-        assert abs(np.mean(one.dw**2 / dt) - 1.0) < 0.02
+        one = sw.noise_block(sw.path_seed(1, 0), 1, 100_000, dt)
+        assert abs(np.mean(one**2 / dt) - 1.0) < 0.02
 
 
 class TestDrift:
-    def test_zero_drift(self, model8, grid32):
+    def test_zero_drift(self, grid32):
         st = sw.PairState(np.arange(1.0, 9.0), np.zeros(8))
-        out = sw.apply_drift(st, sw.preset("anderson"), grid32, model8)
-        assert np.all(out.pos == 0.0) and np.all(out.vel == 0.0)
+        assert drift_vel(st.pos, sw.preset("anderson"), grid32, 8) is None
 
     def test_constant_drift(self):
         # hand oracle: <e_1, 1> = integral of sqrt2 sin(pi x) = 2 sqrt2 / pi
-        model = sw.build_model(1.0, 1)
         grid = sw.GridWorkspace(512)
         spec = sw.CoefficientSpec(diffusion="zero", drift=lambda x, y: np.ones_like(y))
         st = sw.PairState([0.0], [0.0])
-        out = sw.apply_drift(st, spec, grid, model)
-        assert out.vel[0] == pytest.approx(2 * SQRT2 / math.pi, abs=1e-5)
+        out = drift_vel(st.pos, spec, grid, 1)
+        assert out[0] == pytest.approx(2 * SQRT2 / math.pi, abs=1e-5)
 
-    def test_identity_drift(self, model8, grid32):
+    def test_identity_drift(self, grid32):
         spec = sw.CoefficientSpec(diffusion="zero", drift=lambda x, y: y)
         st = sw.PairState([1.0, 2.0, 0, 0, 0, 0, 0, 0], np.zeros(8))
-        out = sw.apply_drift(st, spec, grid32, model8)
-        assert np.max(np.abs(out.vel - st.pos)) < 1e-12
+        out = drift_vel(st.pos, spec, grid32, 8)
+        assert np.max(np.abs(out - st.pos)) < 1e-12
 
-    def test_non_finite_raises(self, model8, grid32):
+    def test_non_finite_raises(self, grid32):
         spec = sw.CoefficientSpec(diffusion="zero",
                                   drift=lambda x, y: np.full_like(y, np.inf))
         st = sw.PairState(np.ones(8), np.zeros(8))
         with pytest.raises(NonFiniteFieldError):
-            sw.apply_drift(st, spec, grid32, model8)
+            drift_vel(st.pos, spec, grid32, 8)
 
 
 class TestDiffusion:
-    def test_identity_on_noise_modes(self, model8, grid32):
+    def test_identity_on_noise_modes(self, grid32):
         # alpha = 1, beta = 0: increment velocity is the projected increment
         spec = sw.CoefficientSpec(diffusion="anderson", alpha=1.0, beta=0.0)
         rng = np.random.default_rng(2)
         dw = rng.standard_normal(16)
         st = sw.PairState(rng.standard_normal(8), np.zeros(8))
-        out = sw.apply_diffusion(st, sw.NoiseIncrement(dw, 0.5), spec, grid32, model8)
-        assert np.array_equal(out.vel, dw[:8])
-        assert np.all(out.pos == 0.0)
+        out = diffusion_vel(st.pos, dw, spec, grid32, 8)
+        assert np.array_equal(out, dw[:8])
 
-    def test_self_product_coefficient(self, model8, grid32):
+    def test_self_product_coefficient(self, grid32):
         # quadrature oracle for <e_1, e_1^2>
         oracle, err = quad(lambda x: (SQRT2 * math.sin(math.pi * x)) ** 3, 0, 1)
         assert err < 1e-12
@@ -100,72 +94,67 @@ class TestDiffusion:
         st = sw.PairState([1.0] + [0.0] * 7, np.zeros(8))
         dw = np.zeros(16)
         dw[0] = 1.0
-        out = sw.apply_diffusion(st, sw.NoiseIncrement(dw, 1.0), spec, grid32, model8)
-        assert out.vel[0] == pytest.approx(oracle, abs=1e-12)
+        out = diffusion_vel(st.pos, dw, spec, grid32, 8)
+        assert out[0] == pytest.approx(oracle, abs=1e-12)
 
-    def test_zero_noise(self, model8, grid32):
+    def test_zero_noise(self, grid32):
         spec = sw.preset("anderson")
         st = sw.PairState(np.ones(8), np.zeros(8))
-        out = sw.apply_diffusion(st, sw.NoiseIncrement(np.zeros(16), 1.0), spec,
-                                 grid32, model8)
-        assert np.all(out.vel == 0.0)
+        out = diffusion_vel(st.pos, np.zeros(16), spec, grid32, 8)
+        assert np.all(out == 0.0)
 
-    def test_linearity_in_noise(self, model8, grid32):
+    def test_linearity_in_noise(self, grid32):
         spec = sw.CoefficientSpec(diffusion="anderson", alpha=0.3, beta=1.7)
         rng = np.random.default_rng(3)
         st = sw.PairState(rng.standard_normal(8), rng.standard_normal(8))
         dw = rng.standard_normal(16)
-        one = sw.apply_diffusion(st, sw.NoiseIncrement(dw, 1.0), spec, grid32, model8)
+        one = diffusion_vel(st.pos, dw, spec, grid32, 8)
         s = -2.75
-        scaled = sw.apply_diffusion(st, sw.NoiseIncrement(s * dw, 1.0), spec,
-                                    grid32, model8)
-        assert np.max(np.abs(scaled.vel - s * one.vel)) < 1e-12
+        scaled = diffusion_vel(st.pos, s * dw, spec, grid32, 8)
+        assert np.max(np.abs(scaled - s * one)) < 1e-12
 
-    def test_grid_refinement_invariance(self, model8):
+    def test_grid_refinement_invariance(self):
         # both factors are trigonometric polynomials: projection is exact,
         # so doubling the grid must not move the result
         spec = sw.CoefficientSpec(diffusion="anderson", alpha=0.5, beta=1.0)
         rng = np.random.default_rng(4)
         st = sw.PairState(rng.standard_normal(8), np.zeros(8))
-        noise = sw.NoiseIncrement(rng.standard_normal(16), 1.0)
-        out = {g: sw.apply_diffusion(st, noise, spec, sw.GridWorkspace(g), model8).vel
+        dw = rng.standard_normal(16)
+        out = {g: diffusion_vel(st.pos, dw, spec, sw.GridWorkspace(g), 8)
                for g in (24, 48)}
         assert np.max(np.abs(out[24] - out[48])) < 1e-10
 
-    def test_grid_too_coarse_rejected(self, model8):
+    def test_grid_too_coarse_rejected(self):
         spec = sw.preset("anderson")
         st = sw.PairState(np.ones(8), np.zeros(8))
         with pytest.raises(ValueError, match="dealiasing"):
-            sw.apply_diffusion(st, sw.NoiseIncrement(np.ones(16), 1.0), spec,
-                               sw.GridWorkspace(16), model8)
+            diffusion_vel(st.pos, np.ones(16), spec, sw.GridWorkspace(16), 8)
 
-    def test_additive_columns(self, model8, grid32):
+    def test_additive_columns(self, grid32):
         spec = sw.preset("additive-heat-kick", m_noise=16, n_modes=8, sigma=0.5)
         dw = np.zeros(16)
         dw[2] = 2.0
         st = sw.PairState(np.ones(8), np.ones(8))
-        out = sw.apply_diffusion(st, sw.NoiseIncrement(dw, 1.0), spec, grid32, model8)
+        out = diffusion_vel(st.pos, dw, spec, grid32, 8)
         want = np.zeros(8)
         want[2] = 1.0
-        assert np.array_equal(out.vel, want)
+        assert np.array_equal(out, want)
 
-    def test_pointwise_kind_matches_anderson(self, model8):
+    def test_pointwise_kind_matches_anderson(self):
         # b(x, y) = 2 + 3 y reproduces the affine multiplicative rule up to
         # quadrature error on an oversampled grid
         grid = sw.GridWorkspace(512)
         rng = np.random.default_rng(5)
         st = sw.PairState(rng.standard_normal(8) / 4, np.zeros(8))
         dw = rng.standard_normal(16)
-        noise = sw.NoiseIncrement(dw, 1.0)
-        exact = sw.apply_diffusion(st, noise,
-                                   sw.CoefficientSpec(diffusion="anderson",
-                                                      alpha=2.0, beta=3.0),
-                                   grid, model8)
-        approx = sw.apply_diffusion(st, noise,
-                                    sw.CoefficientSpec(diffusion="pointwise",
-                                                       pointwise_b=lambda x, y: 2 + 3 * y),
-                                    grid, model8)
-        assert np.max(np.abs(exact.vel - approx.vel)) < 1e-4
+        exact = diffusion_vel(st.pos, dw,
+                              sw.CoefficientSpec(diffusion="anderson", alpha=2.0, beta=3.0),
+                              grid, 8)
+        approx = diffusion_vel(st.pos, dw,
+                               sw.CoefficientSpec(diffusion="pointwise",
+                                                  pointwise_b=lambda x, y: 2 + 3 * y),
+                               grid, 8)
+        assert np.max(np.abs(exact - approx)) < 1e-4
 
 
 def test_truncation_hs_sum_converges(model8, grid32):

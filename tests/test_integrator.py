@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 import specwave as sw
+from specwave.coefficients import diffusion_vel, drift_vel
 from specwave.integrator import run_chunk
 
-from conftest import small_anderson_config, zero_config
+from conftest import expected_row, small_anderson_config, step_loop, zero_config
 
 
 class TestStep:
     def test_zero_spec_reduces_to_group(self, model8, grid32):
         rng = np.random.default_rng(0)
         st = sw.PairState(rng.standard_normal(8), rng.standard_normal(8))
-        noise = sw.NoiseIncrement(rng.standard_normal(8), 0.125)
-        out = sw.step(st, 0.125, noise, sw.preset("zero"), grid32, model8)
+        out = sw.step(st, 0.125, rng.standard_normal(8), sw.preset("zero"), grid32, model8)
         want = sw.propagate(st, 0.125, model8)
         assert np.array_equal(out.pos, want.pos)
         assert np.array_equal(out.vel, want.vel)
@@ -26,12 +26,12 @@ class TestStep:
         spec = sw.CoefficientSpec(diffusion="zero", drift=lambda x, y: np.ones_like(y))
         st = sw.PairState([0.0], [0.0])
         dt = 0.1
-        out = sw.step(st, dt, sw.NoiseIncrement(np.zeros(1), dt), spec, grid, model)
-        drift = sw.apply_drift(st, spec, grid, model)
-        want = sw.propagate(sw.PairState([0.0], dt * drift.vel), dt, model)
+        out = sw.step(st, dt, np.zeros(1), spec, grid, model)
+        drift = drift_vel(st.pos, spec, grid, 1)
+        want = sw.propagate(sw.PairState([0.0], dt * drift), dt, model)
         assert np.max(np.abs(out.pos - want.pos)) < 1e-12
         assert np.max(np.abs(out.vel - want.vel)) < 1e-12
-        assert drift.vel[0] == pytest.approx(2 * math.sqrt(2) / math.pi, abs=1e-5)
+        assert drift[0] == pytest.approx(2 * math.sqrt(2) / math.pi, abs=1e-5)
 
     def test_additive_step_is_propagated_kick(self, model8, grid32):
         # one step from rest: state equals the rotated diffusion increment, and
@@ -43,18 +43,16 @@ class TestStep:
         draws = rng.standard_normal((100_000, 8)) * math.sqrt(dt)
         second = np.mean((sigma * draws) ** 2, axis=0)
         assert np.max(np.abs(second - sigma**2 * dt)) < 3e-3  # 100k-draw oracle
-        noise = sw.NoiseIncrement(draws[0], dt)
-        out = sw.step(st, dt, noise, spec, grid32, model8)
-        kick = sw.apply_diffusion(st, noise, spec, grid32, model8)
-        want = sw.propagate(kick, dt, model8)
+        out = sw.step(st, dt, draws[0], spec, grid32, model8)
+        kick = diffusion_vel(st.pos, draws[0], spec, grid32, 8)
+        want = sw.propagate(sw.PairState(np.zeros(8), kick), dt, model8)
         assert np.array_equal(out.pos, want.pos)
         assert np.array_equal(out.vel, want.vel)
 
     def test_rejects_nonpositive_dt(self, model8, grid32):
         st = sw.PairState(np.zeros(8), np.zeros(8))
         with pytest.raises(ValueError):
-            sw.step(st, 0.0, sw.NoiseIncrement(np.zeros(8), 1.0), sw.preset("zero"),
-                    grid32, model8)
+            sw.step(st, 0.0, np.zeros(8), sw.preset("zero"), grid32, model8)
 
 
 class TestSimConfig:
@@ -87,22 +85,23 @@ class TestSimConfig:
 class TestSimulatePath:
     def test_zero_spec_terminal(self):
         cfg = zero_config(initial_pos=[1, 0, 0.5, 0, 0, 0, 0, -0.25])
+        out = step_loop(cfg, 3, 0)
         for level in (2, 4, 6, 8):
-            got = sw.simulate_path(cfg, level, sw.path_seed(3, 0))
             want = sw.propagate(sw.project(cfg.initial, level), 1.0, cfg.model)
-            assert np.max(np.abs(got.pos - want.pos[:level])) < 1e-10
-            assert np.max(np.abs(got.vel - want.vel[:level])) < 1e-10
+            assert np.max(np.abs(out[level].pos - want.pos[:level])) < 1e-10
+            assert np.max(np.abs(out[level].vel - want.vel[:level])) < 1e-10
 
     def test_bitwise_determinism(self):
         cfg = small_anderson_config()
-        a = sw.simulate_path(cfg, 8, sw.path_seed(7, 5))
-        b = sw.simulate_path(cfg, 8, sw.path_seed(7, 5))
-        assert np.array_equal(a.pos, b.pos) and np.array_equal(a.vel, b.vel)
+        a, b = (run_chunk(cfg, (32, 8), range(5, 6), 7, phi=sw.exp_neg_norm(),
+                          strong_vs_first=True) for _ in range(2))
+        assert np.array_equal(a["phi"], b["phi"])
+        assert np.array_equal(a["strong_sq"], b["strong_sq"])
 
     def test_unknown_level_rejected(self):
         cfg = small_anderson_config()
-        with pytest.raises(ValueError):
-            sw.simulate_path(cfg, 5, sw.path_seed(1, 0))
+        with pytest.raises(ValueError, match="level 5"):
+            sw.estimate_functional(sw.exp_neg_norm(), cfg, 5, 8, 1)
 
     def test_additive_second_moment_closed_form(self):
         # Ito isometry plus the group isometry give the closed form
@@ -129,27 +128,29 @@ class TestSimulatePath:
 
 class TestSimulateCoupled:
     def test_singleton_reference(self):
-        cfg = small_anderson_config(levels=(32,))
-        seed = sw.path_seed(9, 2)
-        out = sw.simulate_coupled(cfg, seed)
-        assert set(out) == {32}
-        single = sw.simulate_path(cfg, 32, seed)
-        assert np.array_equal(out[32].pos, single.pos)
+        cfg = small_anderson_config()
+        phi = sw.exp_neg_norm()
+        alone = run_chunk(cfg, (32,), range(2, 4), 9, phi=phi, strong_vs_first=True)
+        assert alone["phi"].shape == (2, 1)
+        assert alone["strong_sq"].shape == (2, 0)
+        want = phi.evaluate(step_loop(cfg, 9, 3)[32], cfg.model)
+        assert alone["phi"][1, 0] == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_matches_single_paths_bitwise(self):
+        # coupling replays the increments; it does not touch a level's arithmetic
         cfg = small_anderson_config()
-        seed = sw.path_seed(10, 4)
-        out = sw.simulate_coupled(cfg, seed)
-        for level in (4, 8, 16, 32):
-            single = sw.simulate_path(cfg, level, seed)
-            assert np.array_equal(out[level].pos, single.pos)
-            assert np.array_equal(out[level].vel, single.vel)
+        phi = sw.exp_neg_norm()
+        levels = (32, 4, 8, 16)
+        coupled = run_chunk(cfg, levels, range(4, 6), 10, phi=phi)
+        for j, level in enumerate(levels):
+            alone = run_chunk(cfg, (level,), range(4, 6), 10, phi=phi)
+            assert np.array_equal(coupled["phi"][:, j], alone["phi"][:, 0])
 
     def test_zero_spec_levels_differ_by_tail(self):
         init = np.zeros(8)
         init[1], init[6] = 1.0, 2.0
         cfg = zero_config(initial_pos=init)
-        out = sw.simulate_coupled(cfg, sw.path_seed(11, 0))
+        out = step_loop(cfg, 11, 0)
         full = sw.propagate(cfg.initial, 1.0, cfg.model)
         for level in (2, 4, 6):
             pad = np.zeros(8)
@@ -160,17 +161,8 @@ class TestSimulateCoupled:
 
     def test_strong_gap_shrinks_with_level(self):
         cfg = small_anderson_config()
-        gaps = np.zeros(3)
-        for idx in range(40):
-            out = sw.simulate_coupled(cfg, sw.path_seed(12, idx))
-            ref = out[32]
-            for j, level in enumerate((4, 8, 16)):
-                dp = ref.pos.copy()
-                dp[:level] -= out[level].pos
-                dv = ref.vel.copy()
-                dv[:level] -= out[level].vel
-                st = sw.PairState(dp, dv)
-                gaps[j] += sw.norm_bold_hr(st, 0.0, cfg.model) ** 2
+        out = run_chunk(cfg, (32, *cfg.levels), range(40), 12, strong_vs_first=True)
+        gaps = out["strong_sq"].sum(axis=0)
         assert gaps[0] > gaps[1] > gaps[2]
 
 
@@ -200,26 +192,16 @@ class TestBatchMatchesSingle:
                             drift=_tanh_drift), 0),
     ], ids=["pointwise-drift", "anderson-drift", "additive-drift"])
     def test_matches_simulate_coupled(self, spec, grid_points):
-        import specwave.mc as mc
-
+        # the reference is the step loop that coupled single-path runs consist of
         cfg = self._config(spec, grid_points)
-        phi = mc.exp_neg_norm()
-        levels = (cfg.n_ref, *cfg.levels)
+        phi = sw.exp_neg_norm()
         paths = range(2, 5)
-        out = run_chunk(cfg, levels, paths, 21, phi=phi, strong_vs_first=True)
+        out = run_chunk(cfg, (cfg.n_ref, *cfg.levels), paths, 21, phi=phi,
+                        strong_vs_first=True)
         for row, idx in enumerate(paths):
-            coupled = sw.simulate_coupled(cfg, sw.path_seed(21, idx))
-            ref = coupled[cfg.n_ref]
-            for j, level in enumerate(levels):
-                want = phi.evaluate(coupled[level], cfg.model)
-                assert out["phi"][row, j] == pytest.approx(want, rel=1e-12, abs=0)
-            for j, level in enumerate(cfg.levels):
-                dp = ref.pos.copy()
-                dp[:level] -= coupled[level].pos
-                dv = ref.vel.copy()
-                dv[:level] -= coupled[level].vel
-                gap = sw.norm_bold_hr(sw.PairState(dp, dv), 0.0, cfg.model) ** 2
-                assert out["strong_sq"][row, j] == pytest.approx(gap, rel=1e-12, abs=0)
+            want_phi, want_gaps = expected_row(step_loop(cfg, 21, idx), cfg, phi)
+            assert out["phi"][row] == pytest.approx(want_phi, rel=1e-12, abs=0)
+            assert out["strong_sq"][row] == pytest.approx(want_gaps, rel=1e-12, abs=0)
 
 
 class TestBlowUp:
@@ -233,13 +215,6 @@ class TestBlowUp:
         return sw.SimConfig(model=model, levels=(4,), t_final=1.0, n_steps=8,
                             m_noise=8, spec=spec,
                             initial=sw.PairState(pos, np.zeros(8)), grid_points=32)
-
-    def test_blow_up_carries_provenance(self):
-        cfg = self._exploding_config()
-        with pytest.raises(sw.BlowUpError) as err:
-            sw.simulate_path(cfg, 8, sw.path_seed(13, 1))
-        assert err.value.step_index is not None
-        assert err.value.level == 8
 
     def test_chunk_blow_up_names_path(self):
         cfg = self._exploding_config()
@@ -270,17 +245,21 @@ class TestBlowUp:
 
 class TestCoarsening:
     def test_noise_reaggregation(self):
-        cfg = small_anderson_config(n_steps=8)
-        fine = sw.noise_block(sw.path_seed(15, 0), 8, cfg.m_noise, cfg.dt)
-        from specwave.integrator import _coarsened
-        coarse = _coarsened(fine, 2)
-        assert coarse.shape == (4, cfg.m_noise)
-        assert np.allclose(coarse[0], fine[0] + fine[1], atol=0)
+        # coarsen=2 drives every level with pairwise sums of the fine increments
+        cfg = small_anderson_config(n_steps=16)
+        phi = sw.exp_neg_norm()
+        paths = range(3, 6)
+        out = run_chunk(cfg, (cfg.n_ref, *cfg.levels), paths, 15, coarsen=2, phi=phi,
+                        strong_vs_first=True)
+        for row, idx in enumerate(paths):
+            want_phi, want_gaps = expected_row(step_loop(cfg, 15, idx, coarsen=2), cfg, phi)
+            assert out["phi"][row] == pytest.approx(want_phi, rel=1e-12, abs=0)
+            assert out["strong_sq"][row] == pytest.approx(want_gaps, rel=1e-12, abs=0)
 
     def test_indivisible_rejected(self):
         cfg = small_anderson_config(n_steps=6)
         with pytest.raises(ValueError, match="coarsen"):
-            sw.simulate_path(cfg, 8, sw.path_seed(15, 1), coarsen=4)
+            run_chunk(cfg, (8,), range(1), 15, coarsen=4)
 
 
 def _h0_sq():

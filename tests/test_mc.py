@@ -7,7 +7,7 @@ import specwave as sw
 from specwave import mc
 from specwave.integrator import run_chunk
 
-from conftest import small_anderson_config, zero_config
+from conftest import expected_row, small_anderson_config, step_loop, zero_config
 
 
 class TestFunctionals:
@@ -89,7 +89,7 @@ class TestWeakStrongStudy:
         init = np.zeros(8)
         init[0] = 1.0
         cfg = zero_config(levels=(2, 4, 6), initial_pos=init)
-        table = sw.weak_strong_study(cfg, sw.exp_neg_norm(), 16, 6)
+        table = sw.run_study(cfg, sw.exp_neg_norm(), 16, 6, monitor_rho=None).table
         assert np.all(table.weak_error == 0.0)
         assert np.all(table.strong_error == 0.0)
         assert np.all(table.weak_stderr == 0.0)
@@ -98,21 +98,21 @@ class TestWeakStrongStudy:
         init = np.zeros(8)
         init[7] = 1.0  # all mass above every kept level
         cfg = zero_config(levels=(2, 4, 6), initial_pos=init)
-        table = sw.weak_strong_study(cfg, sw.exp_neg_norm(), 16, 7)
+        table = sw.run_study(cfg, sw.exp_neg_norm(), 16, 7, monitor_rho=None).table
         # the group is an isometry, so the propagated tail keeps unit norm
         assert np.allclose(table.strong_error, 1.0, atol=1e-12)
         assert np.all(table.strong_stderr == 0.0)
 
     def test_monotone_error_decay(self):
         cfg = small_anderson_config()
-        table = sw.weak_strong_study(cfg, sw.exp_neg_norm(), 600, 8)
+        table = sw.run_study(cfg, sw.exp_neg_norm(), 600, 8, monitor_rho=None).table
         assert np.all(np.diff(np.abs(table.weak_error)) < 0)
         assert np.all(np.diff(table.strong_error) < 0)
 
     def test_coupled_stderr_beats_uncoupled(self):
         cfg = small_anderson_config()
         phi = sw.exp_neg_norm()
-        table = sw.weak_strong_study(cfg, phi, 1000, 9)
+        table = sw.run_study(cfg, phi, 1000, 9, monitor_rho=None).table
         _, se_ref = sw.estimate_functional(phi, cfg, 32, 1000, 10)
         _, se_lo = sw.estimate_functional(phi, cfg, 8, 1000, 11)
         uncoupled = math.hypot(se_ref, se_lo)
@@ -134,7 +134,7 @@ class TestWeakStrongStudy:
                            m_noise=8, spec=sw.preset("zero"),
                            initial=sw.PairState(np.zeros(8), np.zeros(8)))
         with pytest.raises(ValueError):
-            sw.weak_strong_study(cfg, sw.exp_neg_norm(), 8, 13)
+            sw.run_study(cfg, sw.exp_neg_norm(), 8, 13)
 
 
 class TestBlasPin:
@@ -172,18 +172,9 @@ class TestBatchedEngine:
         out = run_chunk(cfg, (32, *cfg.levels), range(0, 5), 77, phi=phi,
                         strong_vs_first=True)
         for row, idx in enumerate(range(0, 5)):
-            coupled = sw.simulate_coupled(cfg, sw.path_seed(77, idx))
-            for col, level in enumerate((32, *cfg.levels)):
-                want = phi.evaluate(coupled[level], cfg.model)
-                assert out["phi"][row, col] == pytest.approx(want, abs=1e-12)
-            ref = coupled[32]
-            for j, level in enumerate(cfg.levels):
-                dp = ref.pos.copy()
-                dp[:level] -= coupled[level].pos
-                dv = ref.vel.copy()
-                dv[:level] -= coupled[level].vel
-                want = sw.norm_bold_hr(sw.PairState(dp, dv), 0.0, cfg.model) ** 2
-                assert out["strong_sq"][row, j] == pytest.approx(want, abs=1e-12)
+            want_phi, want_gaps = expected_row(step_loop(cfg, 77, idx), cfg, phi)
+            assert out["phi"][row] == pytest.approx(want_phi, abs=1e-12)
+            assert out["strong_sq"][row] == pytest.approx(want_gaps, abs=1e-12)
 
     def test_moment_monitor_matches_direct_norm(self):
         cfg = zero_config(initial_pos=[1, 0, 0, 0, 0, 0, 0, 0])
