@@ -24,11 +24,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
+# numpy 2 imports its random module lazily: load it with the package, not
+# inside the first study
+import numpy.random  # noqa: F401
 
 from .coefficients import CoefficientSpec, NonFiniteFieldError, diffusion_vel, drift_vel
 from .propagator import propagate_arrays, rotation_tables
-from .spectral import GridWorkspace, PairState, SpectralModel
+from .spectral import GridWorkspace, PairState, SpectralModel, _dct1, _sine_from_cos_matrix
 
 __all__ = [
     "BlowUpError",
@@ -165,21 +167,19 @@ def _engine_tables(n_modes_max: int, g: int):
     cosine-to-sine map).
 
     The fold 2 sum_k cos(pi k q / (g+1)) m1[k] is a DCT-I of m1 with both end
-    rows doubled, taken with the FFT rather than a BLAS product: BLAS may sum
-    a product in an order that depends on its thread count, and the tables
-    are built once per process under whatever thread count is then active.
+    rows doubled, taken as the real FFT of its even extension rather than a
+    BLAS product: BLAS may sum a product in an order that depends on its
+    thread count, and the tables are built once per process under whatever
+    thread count is then active.
     """
-    from .spectral import _sine_from_cos_matrix
-
     p = g + 1
     q = np.arange(1, p, dtype=np.float64)
     n = np.arange(1, n_modes_max + 1, dtype=np.float64)
     synth = np.sqrt(2.0) * np.sin(np.pi * np.outer(n, q) / p)
     synth.setflags(write=False)
-    m1 = np.array(_sine_from_cos_matrix(p, min(n_modes_max, g)))
-    m1[0] *= 2.0
-    m1[-1] *= 2.0
-    proj = np.asfortranarray(scipy.fft.dct(m1, type=1, axis=0)[1:p])
+    m1 = _sine_from_cos_matrix(p, min(n_modes_max, g)).T
+    folded = _dct1(m1[:, 1:-1], 2.0 * m1[:, 0], 2.0 * m1[:, -1])
+    proj = np.asfortranarray(folded[:, 1:p].T)
     proj.setflags(write=False)
     return synth, proj
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
 
 __all__ = [
     "SQRT2",
@@ -125,14 +124,9 @@ def analyze_field(values, n_modes: int, grid: "GridWorkspace") -> np.ndarray:
     Exact inverse of evaluating a trigonometric polynomial of degree at most
     ``grid.n_points`` on the nodes; a trapezoidal quadrature otherwise.
     """
-    v = np.asarray(values, dtype=np.float64)
-    if v.shape[-1] != grid.n_points:
-        raise ValueError(
-            f"values have length {v.shape[-1]}, expected {grid.n_points} grid samples"
-        )
     if not 0 <= n_modes <= grid.n_points:
         raise ValueError("n_modes must lie in [0, grid.n_points]")
-    return grid.analyze(v, n_modes)
+    return grid.analyze(values, n_modes)
 
 
 def norm_hr(coeffs, r: float, model: SpectralModel) -> float:
@@ -228,15 +222,48 @@ def _sine_from_cos_matrix(intervals: int, n_max: int) -> np.ndarray:
     return out
 
 
+def _dst1(a: np.ndarray, n: int) -> np.ndarray:
+    """Unnormalized DST-I of length ``n`` along the last axis, ``a`` zero-padded to n.
+
+    y_k = 2 sum_j a_j sin(pi (j+1)(k+1)/(n+1)) is minus the imaginary part of
+    the real FFT of the odd extension [0, a, 0, -a reversed] of length 2(n+1).
+    """
+    k = a.shape[-1]
+    ext = np.zeros(a.shape[:-1] + (2 * n + 2,))
+    ext[..., 1:k + 1] = a
+    ext[..., 2 * n + 2 - k:] = -a[..., ::-1]
+    return -np.fft.rfft(ext)[..., 1:n + 1].imag
+
+
+def _dct1(inner: np.ndarray, first=0.0, last=0.0) -> np.ndarray:
+    """Unnormalized DCT-I of [first, inner, last] along the last axis.
+
+    With c that sequence and p = len(c) - 1, y_k = c_0 + (-1)^k c_p
+    + 2 sum_{0<j<p} c_j cos(pi j k/p) is the real part of the real FFT of the
+    even extension [c_0..c_p, c_{p-1}..c_1] of length 2p.
+    """
+    p = inner.shape[-1] + 1
+    ext = np.empty(inner.shape[:-1] + (2 * p,))
+    ext[..., 0] = first
+    ext[..., 1:p] = inner
+    ext[..., p] = last
+    ext[..., p + 1:] = inner[..., ::-1]
+    # contiguous: numpy's matmul sums a strided operand outside BLAS, in
+    # another order, which would change the bytes of product_to_sine
+    return np.ascontiguousarray(np.fft.rfft(ext).real)
+
+
 class GridWorkspace:
-    """Uniform interior sine grid with transform plans, read-only after build.
+    """Uniform interior sine grid and its transforms, read-only after build.
 
     Nodes are x_q = q/(G+1) for q = 1..G.  ``synthesize``/``analyze`` are the
-    mutually inverse discrete sine transforms on these nodes.  The closed grid
-    (nodes plus both endpoints, G+1 intervals) backs ``product_to_sine``,
-    which projects a pointwise product of two endpoint-vanishing trigonometric
-    polynomials onto the sine basis exactly whenever the degrees sum to at
-    most G+1.
+    mutually inverse discrete sine transforms on these nodes, a DST-I taken
+    as the real FFT of the odd extension of the samples about both
+    endpoints.  The closed grid (nodes plus both endpoints, G+1 intervals)
+    backs ``product_to_sine``, which projects a pointwise product of two
+    endpoint-vanishing trigonometric polynomials onto the sine basis exactly
+    whenever the degrees sum to at most G+1; its cosine analysis is a DCT-I,
+    the real FFT of the even extension.
     """
 
     def __init__(self, n_points: int):
@@ -256,15 +283,16 @@ class GridWorkspace:
         n = a.shape[-1]
         if n > self.n_points:
             raise ValueError(f"{n} modes exceed grid resolution {self.n_points}")
-        if n < self.n_points:
-            pad = [(0, 0)] * (a.ndim - 1) + [(0, self.n_points - n)]
-            a = np.pad(a, pad)
-        return scipy.fft.dst(a, type=1, axis=-1) / SQRT2
+        return _dst1(a, self.n_points) / SQRT2
 
     def analyze(self, values: np.ndarray, n_modes: int) -> np.ndarray:
         """Discrete sine coefficients of node samples; inverse of synthesize."""
         v = np.asarray(values, dtype=np.float64)
-        out = scipy.fft.dst(v, type=1, axis=-1) / (SQRT2 * self.intervals)
+        if v.shape[-1] != self.n_points:
+            raise ValueError(
+                f"values have length {v.shape[-1]}, expected {self.n_points} grid samples"
+            )
+        out = _dst1(v, self.n_points) / (SQRT2 * self.intervals)
         return out[..., :n_modes]
 
     def product_to_sine(self, values: np.ndarray, n_modes: int) -> np.ndarray:
@@ -274,9 +302,6 @@ class GridWorkspace:
         closed grid in the cosine basis (exact for degree <= G+1) and mapped
         to <e_j, u> analytically, so no quadrature error enters.
         """
-        v = np.asarray(values, dtype=np.float64)
-        closed = np.zeros(v.shape[:-1] + (self.intervals + 1,))
-        closed[..., 1:-1] = v
-        y = scipy.fft.dct(closed, type=1, axis=-1)
+        y = _dct1(np.asarray(values, dtype=np.float64))
         mat = _sine_from_cos_matrix(self.intervals, n_modes)
         return y @ mat

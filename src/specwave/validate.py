@@ -1,6 +1,6 @@
 """Runtime checks behind the ``validate`` CLI command.
 
-Each check exercises numerics that the installed numpy, scipy, BLAS or
+Each check exercises numerics that the installed numpy, BLAS or
 random number generator can break, and raises AssertionError with a short
 reason when it fails; ``_require`` raises it, because ``python -O`` strips
 assert statements.  Properties that only the package's own code decides

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.integrate import quad
 
 import specwave as sw
+from specwave.integrator import _engine_tables
+from specwave.spectral import _sine_from_cos_matrix
 
 SQRT2 = math.sqrt(2.0)
 
@@ -93,6 +96,10 @@ class TestAnalyzeField:
     def test_length_mismatch(self, grid32):
         with pytest.raises(ValueError):
             sw.analyze_field(np.zeros(31), 4, grid32)
+
+    def test_grid_analyze_rejects_wrong_length(self, grid32):
+        with pytest.raises(ValueError, match="expected 32"):
+            grid32.analyze(np.zeros((2, 31)), 4)
 
 
 class TestNorms:
@@ -238,3 +245,42 @@ class TestGridWorkspace:
         for j in range(1, 6):
             want, err = quad(f, 0.0, 1.0, args=(j,), limit=200)
             assert got[j - 1] == pytest.approx(want, abs=1e-12)
+
+
+# the type-1 transforms as scipy.fft defines them: an oracle for the real-FFT
+# extensions that the package builds on numpy.fft
+def _close(got, want):
+    scale = np.max(np.abs(want))
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * scale
+
+
+class TestTransformsMatchScipy:
+    @pytest.mark.parametrize("g", [24, 32, 256, 512, 768])
+    @pytest.mark.parametrize("rows", [(), (512,)])
+    def test_synthesize_analyze_product(self, g, rows):
+        rng = np.random.default_rng(g)
+        grid = sw.GridWorkspace(g)
+        n = g // 3
+        a = rng.standard_normal(rows + (n,))
+        padded = np.zeros(rows + (g,))
+        padded[..., :n] = a
+        _close(grid.synthesize(a), scipy.fft.dst(padded, type=1) / SQRT2)
+
+        v = rng.standard_normal(rows + (g,))
+        _close(grid.analyze(v, n),
+               scipy.fft.dst(v, type=1)[..., :n] / (SQRT2 * (g + 1)))
+
+        closed = np.zeros(rows + (g + 2,))
+        closed[..., 1:-1] = v
+        want = scipy.fft.dct(closed, type=1) @ _sine_from_cos_matrix(g + 1, n)
+        _close(grid.product_to_sine(v, n), want)
+
+    @pytest.mark.parametrize("n, g", [(16, 32), (64, 256), (256, 512), (512, 768)])
+    def test_engine_tables(self, n, g):
+        _, proj = _engine_tables(n, g)
+        m1 = np.array(_sine_from_cos_matrix(g + 1, n))
+        m1[0] *= 2.0
+        m1[-1] *= 2.0
+        _close(proj, scipy.fft.dct(m1, type=1, axis=0)[1:g + 1])
+        assert proj.flags.f_contiguous
