@@ -9,27 +9,24 @@ weak-error bound arithmetic.
 __version__ = "0.1.0"
 
 from .analysis import (BoundParams, ExponentPair, RateFit, fit_rate,
-                       mittag_envelope, predicted_exponent,
-                       theoretical_weak_bound)
-from .coefficients import CoefficientSpec, NonFiniteFieldError, preset
+                       predicted_exponent, theoretical_weak_bound)
+from .coefficients import CoefficientSpec, preset
 from .integrator import BlowUpError, SimConfig, noise_block, path_seed, step
 from .mc import (ErrorTable, StudyReport, TestFunctional, coordinate,
                  cos_pairing, estimate_functional, exp_neg_norm, run_study)
 from .propagator import propagate
-from .spectral import (GridWorkspace, PairState, SpectralModel, analyze_field,
-                       build_model, eval_field, hs_norm_lambda_pow,
-                       norm_bold_hr, norm_hr, project)
+from .spectral import (GridWorkspace, PairState, SpectralModel, build_model,
+                       hs_norm_lambda_pow, norm_bold_hr, project)
 
 __all__ = [
     "__version__",
-    "BoundParams", "ExponentPair", "RateFit", "fit_rate", "mittag_envelope",
+    "BoundParams", "ExponentPair", "RateFit", "fit_rate",
     "predicted_exponent", "theoretical_weak_bound",
-    "CoefficientSpec", "NonFiniteFieldError", "preset",
+    "CoefficientSpec", "preset",
     "BlowUpError", "SimConfig", "noise_block", "path_seed", "step",
     "ErrorTable", "StudyReport", "TestFunctional", "coordinate", "cos_pairing",
     "estimate_functional", "exp_neg_norm", "run_study",
     "propagate",
-    "GridWorkspace", "PairState", "SpectralModel", "analyze_field",
-    "build_model", "eval_field", "hs_norm_lambda_pow", "norm_bold_hr",
-    "norm_hr", "project",
+    "GridWorkspace", "PairState", "SpectralModel", "build_model",
+    "hs_norm_lambda_pow", "norm_bold_hr", "project",
 ]

@@ -1,4 +1,4 @@
-"""Rate regression, the explicit weak-error bound, and the series envelope."""
+"""Rate regression and the explicit weak-error bound."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ __all__ = [
     "fit_rate",
     "BoundParams",
     "theoretical_weak_bound",
-    "mittag_envelope",
     "ExponentPair",
     "predicted_exponent",
 ]
@@ -122,36 +121,6 @@ def theoretical_weak_bound(params: BoundParams) -> float:
     return (p.phi_c2b * max(1.0, t) * max(1.0, p.xi_l2_rho**2)
             * additive * curvature * grow0 * grow_rho
             * p.lambda_cut ** (p.beta - p.gamma))
-
-
-def mittag_envelope(r: float, x: float, tol: float = 1e-12) -> float:
-    """Square root of sum_n x^(2n) Gamma(r)^n / Gamma(n r + 1).
-
-    Partial sums run until the next term falls below tol^2 times the current
-    sum; the series converges for every r > 0, x >= 0.
-    """
-    if not r > 0:
-        raise ValueError(f"r must be positive, got {r}")
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if x == 0.0:
-        return 1.0
-    log_x2 = 2.0 * math.log(x)
-    log_gr = math.lgamma(r)
-    total = 1.0  # n = 0 term
-    n = 1
-    while True:
-        log_term = n * (log_x2 + log_gr) - math.lgamma(n * r + 1.0)
-        term = math.exp(log_term)
-        if term < tol * tol * total:
-            break
-        total += term
-        n += 1
-        if n > 100_000:
-            raise RuntimeError("series did not settle; x too large for float range")
-    return math.sqrt(total)
 
 
 class ExponentPair(NamedTuple):

@@ -118,7 +118,12 @@ def cmd_convergence(args) -> int:
     if len(cfg.levels) < 3:
         raise ConfigError("levels", "convergence study needs at least 3 levels")
     seed = args.seed
-    n_paths = args.paths or setup.n_paths
+    n_paths = setup.n_paths if args.paths is None else args.paths
+    if n_paths < 2:
+        field = "n_paths" if args.paths is None else "paths"
+        raise ConfigError(field, f"a study needs at least 2 paths, got {n_paths}")
+    if args.workers is not None and args.workers < 1:
+        raise ConfigError("workers", f"need at least 1 worker, got {args.workers}")
     out_dir = args.out or setup.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
 

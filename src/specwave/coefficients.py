@@ -13,12 +13,15 @@ a state to (0, f(x, v(x))) and the diffusion maps a noise increment dW to
 * ``additive``: fixed column per noise mode, independent of the state.
 * ``zero``: no diffusion.
 
-The functions here evaluate one increment with the grid's sine transforms;
-the single-path stepper calls them.  The batched engine of the studies
+``diffusion_vel`` and ``drift_vel`` evaluate one increment with the grid's
+sine transforms; ``integrator.step``, the single-path stepper behind
+``specwave simulate``, calls both.  The batched engine of the studies
 (``integrator.run_chunk``) evaluates the same Anderson, pointwise and drift
 fields through its cached dense synthesis and projection tables instead,
-synthesizing each level's position once per step; the additive kind goes
-through ``diffusion_vel`` in both.
+synthesizing each level's position once per step, and calls
+``diffusion_vel`` for the additive kind only.  Neither function checks its
+output for NaN or infinity: a non-finite field leaves the rotated state
+non-finite, which the stepper reports as a blow-up.
 
 The noise increments dW are i.i.d. Normal(0, dt) coefficients of the first M
 basis modes of a cylindrical Wiener process (``integrator.noise_block`` draws
@@ -37,17 +40,12 @@ from .spectral import GridWorkspace
 __all__ = [
     "DIFFUSION_KINDS",
     "PRESETS",
-    "NonFiniteFieldError",
     "CoefficientSpec",
     "preset",
 ]
 
 DIFFUSION_KINDS = ("anderson", "pointwise", "additive", "zero")
 PRESETS = ("anderson", "zero", "additive-heat-kick")
-
-
-class NonFiniteFieldError(ValueError):
-    """A coefficient evaluation produced NaN or infinity."""
 
 
 @dataclass(frozen=True)
@@ -102,11 +100,6 @@ def preset(name: str, *, m_noise: int | None = None, n_modes: int | None = None,
     raise ValueError(f"unknown preset {name!r}; choose from {PRESETS}")
 
 
-def _check_finite(values: np.ndarray, what: str):
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteFieldError(f"{what} produced non-finite values")
-
-
 def drift_vel(pos: np.ndarray, spec: CoefficientSpec, grid: GridWorkspace,
               n_out: int) -> np.ndarray | None:
     """Velocity coefficients of the drift, batched on the last axis.
@@ -119,9 +112,7 @@ def drift_vel(pos: np.ndarray, spec: CoefficientSpec, grid: GridWorkspace,
         raise ValueError("grid too coarse: need n_points >= n_modes")
     v_vals = grid.synthesize(pos)
     f_vals = np.asarray(spec.drift(grid.nodes, v_vals), dtype=np.float64)
-    f_vals = np.broadcast_to(f_vals, v_vals.shape)
-    _check_finite(f_vals, "drift f")
-    return grid.analyze(f_vals, n_out)
+    return grid.analyze(np.broadcast_to(f_vals, v_vals.shape), n_out)
 
 
 def diffusion_vel(pos: np.ndarray, dw: np.ndarray, spec: CoefficientSpec,
@@ -151,7 +142,6 @@ def diffusion_vel(pos: np.ndarray, dw: np.ndarray, spec: CoefficientSpec,
             w_vals = grid.synthesize(dw)
             v_vals = grid.synthesize(pos)
             out += spec.beta * grid.product_to_sine(v_vals * w_vals, n_out)
-        _check_finite(out, "anderson diffusion")
         return out
     # pointwise b(x, v(x)) dW(x): plain oversampled quadrature
     if grid.n_points < max(n_out, m):
@@ -159,7 +149,4 @@ def diffusion_vel(pos: np.ndarray, dw: np.ndarray, spec: CoefficientSpec,
     w_vals = grid.synthesize(dw)
     v_vals = grid.synthesize(pos)
     b_vals = np.asarray(spec.pointwise_b(grid.nodes, v_vals), dtype=np.float64)
-    b_vals = np.broadcast_to(b_vals, v_vals.shape)
-    u = b_vals * w_vals
-    _check_finite(u, "pointwise diffusion")
-    return grid.analyze(u, n_out)
+    return grid.analyze(np.broadcast_to(b_vals, v_vals.shape) * w_vals, n_out)

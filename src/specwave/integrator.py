@@ -28,7 +28,7 @@ import numpy as np
 # inside the first study
 import numpy.random  # noqa: F401
 
-from .coefficients import CoefficientSpec, NonFiniteFieldError, diffusion_vel, drift_vel
+from .coefficients import CoefficientSpec, diffusion_vel, drift_vel
 from .propagator import propagate_arrays, rotation_tables
 from .spectral import GridWorkspace, PairState, SpectralModel, _dct1, _sine_from_cos_matrix
 
@@ -128,17 +128,15 @@ def step(state: PairState, dt: float, dw: np.ndarray, spec: CoefficientSpec,
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     n = state.n_modes
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            vel = state.vel + diffusion_vel(state.pos, dw, spec, grid, n)
-            dv = drift_vel(state.pos, spec, grid, n)
-    except NonFiniteFieldError:
-        # overflow of a coefficient evaluation is a blow-up of the path
-        raise BlowUpError(step_index) from None
-    if dv is not None:
-        vel = vel + dt * dv
     cos_t, sin_t, mu = rotation_tables(model, dt, n)
-    new_pos, new_vel = propagate_arrays(state.pos, vel, cos_t, sin_t, mu)
+    # a non-finite coefficient field leaves the rotated state non-finite,
+    # so the one probe below reports it as a blow-up of the path
+    with np.errstate(over="ignore", invalid="ignore"):
+        vel = state.vel + diffusion_vel(state.pos, dw, spec, grid, n)
+        dv = drift_vel(state.pos, spec, grid, n)
+        if dv is not None:
+            vel = vel + dt * dv
+        new_pos, new_vel = propagate_arrays(state.pos, vel, cos_t, sin_t, mu)
     if not (np.all(np.isfinite(new_pos)) and np.all(np.isfinite(new_vel))):
         raise BlowUpError(step_index)
     return PairState(new_pos, new_vel)
@@ -271,7 +269,6 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
                     if drift is not None:
                         # analyzed before the Anderson product reuses v_buf
                         f_vals = _on_grid(drift, grid.nodes, v_vals)
-                        _raise_if_nonfinite(k, level, path_indices, f_vals)
                         dv = (f_vals @ s_level.T) / grid.intervals
                     if anderson:
                         if beta != 0.0:
@@ -290,14 +287,14 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
                             vel[:, :kk] += alpha * dwk[:, :kk]
                     elif pointwise:
                         u = _on_grid(spec.pointwise_b, grid.nodes, v_vals) * w_vals
-                        _raise_if_nonfinite(k, level, path_indices, u)
                         vel = vel + (u @ s_level.T) / grid.intervals
                     elif spec.diffusion != "zero":
                         vel = vel + diffusion_vel(pos, dwk, spec, grid, level)
-                if dv is not None:
-                    vel = vel + dt * dv
-                cos_t, sin_over_mu, neg_mu_sin = tables[level]
-                with np.errstate(over="ignore", invalid="ignore"):
+                    if dv is not None:
+                        vel = vel + dt * dv
+                    # a non-finite field makes the rotated rows non-finite,
+                    # so this one probe names the path of every blow-up
+                    cos_t, sin_over_mu, neg_mu_sin = tables[level]
                     np.multiply(pos, cos_t, out=new_pos)
                     np.multiply(vel, sin_over_mu, out=tmp)
                     new_pos += tmp

@@ -11,10 +11,10 @@ scalar field is stored as the vector of its eigenbasis coefficients
 the velocity is kept as plain L2 coefficients, with the smoothness weights
 applied only inside norms, so the wave-group rotation stays unweighted.
 
-Smoothness scales: ``norm_hr(a, r)`` is the graph norm of the r-th power of
-the (negated) operator, ``sqrt(sum |lam_n|^(2r) a_n^2)``, and the pair-space
-norm at smoothness ``r`` weights position by ``|lam|^r`` and velocity by
-``|lam|^(r-1)``.
+Smoothness scales: the pair-space norm at smoothness ``r`` weights the
+squared position coefficients by ``|lam|^r`` and the squared velocity
+coefficients by ``|lam|^(r-1)``, the graph norms of the powers r/2 and
+r/2 - 1/2 of the (negated) operator.
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ __all__ = [
     "PairState",
     "GridWorkspace",
     "build_model",
-    "eval_field",
-    "analyze_field",
-    "norm_hr",
     "norm_bold_hr",
     "project",
     "hs_norm_lambda_pow",
@@ -79,7 +76,7 @@ def build_model(theta: float, n_modes: int) -> SpectralModel:
     return SpectralModel(float(theta), n_modes, _readonly(lam), _readonly(np.sqrt(-lam)))
 
 
-def _as_coeffs(values, name: str = "coeffs") -> np.ndarray:
+def _as_coeffs(values, name: str) -> np.ndarray:
     a = np.asarray(values, dtype=np.float64)
     if a.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
@@ -106,35 +103,6 @@ class PairState:
     @property
     def n_modes(self) -> int:
         return self.pos.shape[0]
-
-
-def eval_field(coeffs, points) -> np.ndarray:
-    """Evaluate sum_n a_n e_n at points of the open interval (0,1)."""
-    a = _as_coeffs(coeffs)
-    x = np.asarray(points, dtype=np.float64)
-    if x.size and (x.min() <= 0.0 or x.max() >= 1.0):
-        raise ValueError("points must lie strictly inside (0,1)")
-    n = np.arange(1, a.shape[0] + 1, dtype=np.float64)
-    return (SQRT2 * np.sin(np.pi * np.outer(x, n))) @ a
-
-
-def analyze_field(values, n_modes: int, grid: "GridWorkspace") -> np.ndarray:
-    """First ``n_modes`` discrete sine coefficients of samples on grid nodes.
-
-    Exact inverse of evaluating a trigonometric polynomial of degree at most
-    ``grid.n_points`` on the nodes; a trapezoidal quadrature otherwise.
-    """
-    if not 0 <= n_modes <= grid.n_points:
-        raise ValueError("n_modes must lie in [0, grid.n_points]")
-    return grid.analyze(values, n_modes)
-
-
-def norm_hr(coeffs, r: float, model: SpectralModel) -> float:
-    """Interpolation-space norm sqrt(sum |lam_n|^(2r) a_n^2)."""
-    a = _as_coeffs(coeffs)
-    w = model.abs_lam(a.shape[0]) ** (2.0 * r)
-    with np.errstate(over="ignore"):  # near blow-up the norm is legitimately inf
-        return float(np.sqrt(np.sum(w * a * a)))
 
 
 def norm_bold_hr(state: PairState, r: float, model: SpectralModel) -> float:

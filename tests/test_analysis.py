@@ -96,29 +96,6 @@ class TestWeakBound:
             sw.theoretical_weak_bound(params(b_lip0_hs=-0.1))
 
 
-class TestMittagEnvelope:
-    @pytest.mark.parametrize("r", [0.3, 1.0, 2.0, 5.0])
-    def test_at_zero(self, r):
-        assert sw.mittag_envelope(r, 0.0) == 1.0
-
-    def test_r_one_closed_form(self):
-        # Gamma(1) = 1 turns the series into exp(x^2), so the value is e^(x^2/2)
-        assert sw.mittag_envelope(1.0, 1.0) == pytest.approx(math.exp(0.5), rel=1e-10)
-        assert sw.mittag_envelope(1.0, 2.0) == pytest.approx(math.exp(2.0), rel=1e-10)
-
-    def test_matches_closed_form_on_grid(self):
-        for x in np.linspace(0.0, 3.0, 16):
-            want = math.exp(0.5 * float(x) ** 2)
-            got = sw.mittag_envelope(1.0, float(x), 1e-10)
-            assert got == pytest.approx(want, rel=1e-8)
-
-    def test_rejections(self):
-        with pytest.raises(ValueError):
-            sw.mittag_envelope(0.0, 1.0)
-        with pytest.raises(ValueError):
-            sw.mittag_envelope(1.0, -1.0)
-
-
 class TestPredictedExponent:
     def test_anderson_limit(self):
         # gamma in the upper corner with the smallest feasible beta: the

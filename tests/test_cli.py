@@ -43,6 +43,15 @@ def read(path):
         return fh.read()
 
 
+def run_python(*args):
+    """Run a fresh interpreter on the package under test; text output captured."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sw.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
 class TestSimulate:
     def test_zero_preset_isometry(self, tmp_path):
         cfg = write_config(tmp_path, ZERO_CONFIG)
@@ -87,6 +96,18 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--seed", "1",
                      "--out", str(tmp_path / "x")]) == 3
 
+    def test_nonfinite_drift_blows_up_cleanly(self, tmp_path):
+        # the drift overflows on the first step; the one state probe reports
+        # it, and no floating-point warning reaches the user
+        cfg_obj = json.loads(json.dumps(SMALL_ANDERSON))
+        cfg_obj["coefficients"]["drift"] = "1e200*1e200*y"
+        cfg = write_config(tmp_path, cfg_obj)
+        run = run_python("-m", "specwave.cli", "simulate", "--config", cfg, "--seed", "1",
+                         "--out", str(tmp_path / "x"))
+        assert run.returncode == 3
+        assert "step 0, level 16, path 0" in run.stderr
+        assert "RuntimeWarning" not in run.stderr
+
     def test_blow_up_names_level_and_path(self, tmp_path, capsys):
         exploding = json.loads(json.dumps(SMALL_ANDERSON))
         exploding["model"].update({"n_ref": 8, "grid_points": 32})
@@ -101,6 +122,25 @@ class TestSimulate:
 
 
 class TestConvergence:
+    @pytest.mark.parametrize("flags, n_paths, field", [
+        (["--paths", "0"], 64, "paths"),
+        (["--paths", "1"], 64, "paths"),
+        (["--paths", "-5"], 64, "paths"),
+        (["--workers", "0"], 64, "workers"),
+        (["--workers", "-2"], 64, "workers"),
+        ([], 1, "n_paths"),
+        ([], 0, "n_paths"),
+    ], ids=["paths=0", "paths=1", "paths=-5", "workers=0", "workers=-2", "n_paths=1",
+            "n_paths=0"])
+    def test_bad_counts_rejected(self, tmp_path, capsys, flags, n_paths, field):
+        obj = json.loads(json.dumps(ZERO_CONFIG))
+        obj["study"]["n_paths"] = n_paths
+        cfg = write_config(tmp_path, obj)
+        out = tmp_path / "o"
+        assert main(["convergence", "--config", cfg, "--out", str(out), *flags]) == 2
+        assert f"(field: {field})" in capsys.readouterr().err
+        assert not (out / "errors.csv").exists()
+
     def test_small_anderson_run(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_ANDERSON)
         out = tmp_path / "conv"
@@ -254,13 +294,29 @@ class TestValidate:
             "                        mu * s * st.pos + c * st.vel)\n"
             "p.propagate = broken\n"
             "raise SystemExit(main(['validate']))\n")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(sw.__file__)))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                             capture_output=True, text=True, timeout=120)
+        run = run_python("-O", "-c", script)
         assert run.returncode == 1
         assert "FAIL  group isometry" in run.stdout
+
+    def test_scaled_product_fails_exact_product(self, monkeypatch, capsys):
+        # mutation check: an Anderson product projection off by 1e-6 relative
+        import specwave.integrator as integrator
+        tables = integrator._engine_tables
+
+        def scaled(n_modes_max, g):
+            synth, proj = tables(n_modes_max, g)
+            return synth, proj * (1.0 + 1e-6)
+
+        monkeypatch.setattr(integrator, "_engine_tables", scaled)
+        assert main(["validate"]) == 1
+        fails = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("FAIL")]
+        assert any("exact product" in line for line in fails)
+
+    def test_no_runtime_warning(self):
+        run = run_python("-W", "error::RuntimeWarning", "-m", "specwave.cli", "validate")
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.count("PASS") == 5
 
 
 class TestExpressionSubset:

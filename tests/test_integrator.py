@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,14 @@ class TestStep:
         want = sw.propagate(sw.PairState(np.zeros(8), kick), dt, model8)
         assert np.array_equal(out.pos, want.pos)
         assert np.array_equal(out.vel, want.vel)
+
+    def test_rotation_overflow_is_a_quiet_blow_up(self, model8, grid32):
+        # mu sin(mu dt) times 1e308 overflows in the rotation itself
+        st = sw.PairState(np.full(8, 1e308), np.zeros(8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(sw.BlowUpError):
+                sw.step(st, 0.1, np.zeros(8), sw.preset("zero"), grid32, model8)
 
     def test_rejects_nonpositive_dt(self, model8, grid32):
         st = sw.PairState(np.zeros(8), np.zeros(8))

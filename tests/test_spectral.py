@@ -40,62 +40,69 @@ class TestBuildModel:
             sw.build_model(1.0, 0)
 
 
+def _eval_field(coeffs, points):
+    """sum_n a_n e_n at the points, summed directly."""
+    n = np.arange(1, len(coeffs) + 1)
+    return (SQRT2 * np.sin(np.pi * np.outer(points, n))) @ np.asarray(coeffs, float)
+
+
+def _norm_hr(coeffs, r, model):
+    """sqrt(sum |lam_n|^(2r) a_n^2), the graph norm of the r-th operator power."""
+    a = np.asarray(coeffs, float)
+    return math.sqrt(float(np.sum(model.abs_lam(len(a)) ** (2.0 * r) * a * a)))
+
+
 class TestEvalField:
+    # synthesize evaluates a field on the grid nodes; nodes of GridWorkspace(3)
+    # are 1/4, 1/2 and 3/4
     def test_single_mode_midpoint(self):
-        assert sw.eval_field([1.0], [0.5])[0] == pytest.approx(SQRT2, rel=1e-14)
+        assert sw.GridWorkspace(1).synthesize([1.0])[0] == pytest.approx(SQRT2, rel=1e-14)
 
     def test_second_mode(self):
-        assert sw.eval_field([0.0, 1.0], [0.25])[0] == pytest.approx(SQRT2, rel=1e-14)
+        got = sw.GridWorkspace(3).synthesize([0.0, 1.0])[0]
+        assert got == pytest.approx(SQRT2, rel=1e-14)
 
     def test_two_modes_against_direct_sum(self):
         # oracle: evaluate the sum of sines directly
         x = 0.5
         want = SQRT2 * (math.sin(math.pi * x) + math.sin(2 * math.pi * x))
-        assert sw.eval_field([1.0, 1.0], [x])[0] == pytest.approx(want, abs=1e-14)
+        got = sw.GridWorkspace(3).synthesize([1.0, 1.0])[1]
+        assert got == pytest.approx(want, abs=1e-14)
         assert want == pytest.approx(SQRT2, abs=1e-12)
-
-    def test_rejects_boundary_points(self):
-        with pytest.raises(ValueError):
-            sw.eval_field([1.0], [0.0])
-        with pytest.raises(ValueError):
-            sw.eval_field([1.0], [1.0])
-        with pytest.raises(ValueError):
-            sw.eval_field([1.0], [-0.1, 0.5])
 
 
 class TestAnalyzeField:
     def test_roundtrip(self, grid32):
         rng = np.random.default_rng(3)
         a = rng.standard_normal(3)
-        vals = sw.eval_field(a, grid32.nodes)
-        back = sw.analyze_field(vals, 3, grid32)
+        back = grid32.analyze(_eval_field(a, grid32.nodes), 3)
         assert np.max(np.abs(back - a)) < 1e-12
 
     def test_roundtrip_full_degree(self, grid32):
         rng = np.random.default_rng(4)
         a = rng.standard_normal(32)
-        back = sw.analyze_field(grid32.synthesize(a), 32, grid32)
+        back = grid32.analyze(grid32.synthesize(a), 32)
         assert np.max(np.abs(back - a)) < 1e-12
 
     def test_zero_samples(self, grid32):
-        assert np.all(sw.analyze_field(np.zeros(32), 5, grid32) == 0.0)
+        assert np.all(grid32.analyze(np.zeros(32), 5) == 0.0)
 
     def test_squared_mode_coefficient(self, grid32):
         # quadrature oracle for the first sine coefficient of e_1^2
         oracle, err = quad(lambda x: (SQRT2 * math.sin(math.pi * x)) ** 3, 0.0, 1.0)
         assert err < 1e-12
         assert oracle == pytest.approx(8 * SQRT2 / (3 * math.pi), abs=1e-12)
-        vals = sw.eval_field([1.0], grid32.nodes) ** 2
-        got = sw.analyze_field(vals, 1, grid32)[0]
+        got = grid32.analyze(_eval_field([1.0], grid32.nodes) ** 2, 1)[0]
         # interior-grid quadrature: fourth-order accurate for this integrand
         assert got == pytest.approx(oracle, abs=1e-5)
         grid128 = sw.GridWorkspace(128)
-        got_fine = sw.analyze_field(sw.eval_field([1.0], grid128.nodes) ** 2, 1, grid128)[0]
+        got_fine = grid128.analyze(_eval_field([1.0], grid128.nodes) ** 2, 1)[0]
         assert abs(got_fine - oracle) < abs(got - oracle)
 
     def test_length_mismatch(self, grid32):
+        # one field's samples, one short of the grid
         with pytest.raises(ValueError):
-            sw.analyze_field(np.zeros(31), 4, grid32)
+            grid32.analyze(np.zeros(31), 4)
 
     def test_grid_analyze_rejects_wrong_length(self, grid32):
         with pytest.raises(ValueError, match="expected 32"):
@@ -103,14 +110,17 @@ class TestAnalyzeField:
 
 
 class TestNorms:
+    # position weight |lam|^r, velocity weight |lam|^(r-1)
     def test_h0(self, model8):
-        assert sw.norm_hr([1.0], 0.0, model8) == 1.0
+        st = sw.PairState([0.6, 0.8], [0.0, 0.0])
+        assert sw.norm_bold_hr(st, 0.0, model8) == pytest.approx(1.0, rel=1e-15)
 
     def test_half_power(self, model8):
-        assert sw.norm_hr([1.0], 0.5, model8) == pytest.approx(math.pi, rel=1e-14)
+        st = sw.PairState([1.0], [0.0])
+        assert sw.norm_bold_hr(st, 1.0, model8) == pytest.approx(math.pi, rel=1e-14)
 
     def test_negative_power_second_mode(self, model8):
-        got = sw.norm_hr([0.0, 1.0], -0.5, model8)
+        got = sw.norm_bold_hr(sw.PairState([0.0, 0.0], [0.0, 1.0]), 0.0, model8)
         assert got == pytest.approx(1.0 / (2 * math.pi), rel=1e-14)
 
     def test_pair_norm_position_only(self, model8):
@@ -130,8 +140,8 @@ class TestNorms:
         st = sw.PairState(rng.standard_normal(8), rng.standard_normal(8))
         for r in (-0.6, 0.0, 0.4, 1.0):
             whole = sw.norm_bold_hr(st, r, model8) ** 2
-            parts = (sw.norm_hr(st.pos, r / 2, model8) ** 2
-                     + sw.norm_hr(st.vel, r / 2 - 0.5, model8) ** 2)
+            parts = (_norm_hr(st.pos, r / 2, model8) ** 2
+                     + _norm_hr(st.vel, r / 2 - 0.5, model8) ** 2)
             assert whole == pytest.approx(parts, rel=1e-14)
 
     def test_parseval(self, model8):
@@ -139,9 +149,10 @@ class TestNorms:
         a = rng.standard_normal(8)
         x, w = np.polynomial.legendre.leggauss(300)
         x = 0.5 * (x + 1.0)
-        vals = sw.eval_field(a, x)
+        vals = _eval_field(a, x)
         l2 = math.sqrt(0.5 * float(w @ (vals * vals)))
-        assert abs(l2 - sw.norm_hr(a, 0.0, model8)) < 1e-8
+        st = sw.PairState(a, np.zeros(8))
+        assert abs(l2 - sw.norm_bold_hr(st, 0.0, model8)) < 1e-8
 
 
 class TestProject:
