@@ -67,7 +67,11 @@ class SimConfig:
     m_noise: int
     spec: CoefficientSpec
     initial: PairState
-    grid_points: int = 0  # 0 selects the default 4 * max(n_ref, m_noise)
+    # an Anderson level L with 2L < grid_points runs its product on its own
+    # 2L-point grid; grid_points sets the grid of the other Anderson levels
+    # (the flagship's reference), of pointwise and drift fields, and of every
+    # level when a drift is set.  0 selects the default 4 * max(n_ref, m_noise)
+    grid_points: int = 0
     grid: GridWorkspace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -147,11 +151,15 @@ def step(state: PairState, dt: float, dw: np.ndarray, spec: CoefficientSpec,
 # The study harness advances whole blocks of paths at once, with the sine
 # synthesis and the exact product projection realized as cached dense
 # matrices so every step reduces to a few BLAS products.  Each level-step
-# synthesizes its position on the grid once; the Anderson product, pointwise
+# synthesizes its position on a grid once; the Anderson product, pointwise
 # b(x, v) dW and the drift f(x, v) all read those values, and pointwise and
 # drift fields are analyzed with the transposed synthesis table (the
-# discrete sine transform restricted to the level's modes).  Semantics are
-# those of a loop of ``step`` per path and level under the path's increments;
+# discrete sine transform restricted to the level's modes).  An Anderson
+# level L with 2L < grid_points runs its product on its own grid of 2L
+# interior nodes (``_own_grid_tables``); ``grid_points`` sets the grid of
+# the other Anderson levels (the flagship's reference), of pointwise and
+# drift fields, and of every level when a drift is set.  Semantics are those
+# of a loop of ``step`` per path and level under the path's increments;
 # terminal states agree with that loop to floating-point reassociation
 # (~1e-15), which the test suite pins at 1e-12.
 
@@ -182,6 +190,38 @@ def _engine_tables(n_modes_max: int, g: int):
     return synth, proj
 
 
+@lru_cache(maxsize=32)
+def _own_grid_tables(level: int, m_noise: int):
+    """(synthesis, noise map, analysis) of level L's Anderson product on 2L nodes.
+
+    <e_j, v w> = <e_j v, w> for j <= L, and e_j v is a cosine polynomial of
+    degree <= 2L, so the noise field w may be replaced by its cosine
+    projection w~ = sum_{p<=2L} c_p <cos p pi ., w> cos p pi x (c_0 = 1,
+    c_p = 2).  v w~ is a sine polynomial of degree <= 3L, and a DST-I on the
+    nodes q/(2L+1), q = 1..2L, returns its first L coefficients unaliased.
+
+    synth (L x 2L) holds e_n at the nodes; noise (m_noise x 2L) maps noise
+    increments to the values of w~ there, from the closed form
+    <cos p pi ., e_k> = 2 sqrt2 k / (pi (k^2 - p^2)) for k + p odd, 0
+    otherwise, folded with the cosine synthesis by a DCT-I (an FFT, so the
+    bytes do not depend on the BLAS thread count); analysis is synth^T/(2L+1).
+    """
+    p = 2 * level + 1
+    q = np.arange(1, p, dtype=np.float64)
+    n = np.arange(1, level + 1, dtype=np.float64)
+    synth = np.sqrt(2.0) * np.sin(np.pi * np.outer(n, q) / p)
+    k = np.arange(1, m_noise + 1, dtype=np.float64)[:, None]
+    c = np.arange(p, dtype=np.float64)[None, :]
+    odd = (k + c) % 2 == 1
+    cos_e = np.where(odd, 2.0 * np.sqrt(2.0) * k / (np.pi * np.where(odd, k * k - c * c, 1.0)),
+                     0.0)
+    noise = np.ascontiguousarray(_dct1(cos_e[:, 1:p], cos_e[:, 0], 0.0)[:, 1:p])
+    analysis = synth.T / p
+    for a in (synth, noise, analysis):
+        a.setflags(write=False)
+    return synth, noise, analysis
+
+
 # noise is streamed in bursts of this many fine steps to bound memory;
 # values are identical to drawing the whole block at once
 _NOISE_BURST = 32
@@ -208,10 +248,19 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
     anderson = spec.diffusion == "anderson"
     pointwise = spec.diffusion == "pointwise"
     drift = spec.drift
+    alpha, beta = spec.alpha, spec.beta
+    g = grid.n_points
     synth = proj = None
     if anderson or pointwise or drift is not None:
-        synth, proj = _engine_tables(max(model.n_modes, config.m_noise),
-                                     grid.n_points)
+        synth, proj = _engine_tables(max(model.n_modes, config.m_noise), g)
+    # an Anderson level with 2L < g forms its product on its own 2L-point
+    # grid; a drift needs the position on the config grid at every level
+    product = anderson and beta != 0.0
+    own = [level for level in levels if 2 * level < g] if product and drift is None else []
+    on_grid = [level for level in levels if level not in own]
+    needs_wvals = (product or pointwise) and bool(on_grid)
+    # one grid synthesis of the position per level-step serves every field
+    synth_pos = needs_wvals or drift is not None
 
     states = {}
     tables = {}
@@ -235,13 +284,26 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
         for i, level in enumerate(levels):
             _record_moment(moments, i, 0, states[level], weights[level])
 
+    # per level: (position synthesis, noise values, product analysis, buffer
+    # of the position values), on the config grid or on the level's own grid
+    fields = {}
+    if synth_pos:
+        w_vals = np.empty((b, g)) if needs_wvals else None
+        v_buf = np.empty((b, g))
+        for level in on_grid:
+            fields[level] = (synth[:level], w_vals, proj[:, :level], v_buf)
+    if own:
+        own_tables = [_own_grid_tables(level, m) for level in own]
+        noise_map = np.concatenate([t[1] for t in own_tables], axis=1)
+        w_own = np.empty((b, noise_map.shape[1]))
+        col = 0
+        for level, (s_own, _, a_own) in zip(own, own_tables):
+            nodes = s_own.shape[1]
+            fields[level] = (s_own, w_own[:, col:col + nodes], a_own, np.empty((b, nodes)))
+            col += nodes
+
     gens = [np.random.default_rng(path_seed(master_seed, idx)) for idx in path_indices]
-    needs_wvals = (anderson and spec.beta != 0.0) or pointwise
-    # one grid synthesis of the position per level-step serves every field
-    synth_pos = needs_wvals or drift is not None
     burst_fine = _NOISE_BURST * coarsen
-    alpha, beta = spec.alpha, spec.beta
-    v_buf = np.empty((b, grid.n_points)) if synth_pos else None
 
     k = 0
     fine_done = 0
@@ -257,24 +319,28 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
 
         for j in range(block.shape[1]):
             dwk = block[:, j]
-            w_vals = dwk @ synth[:m] if needs_wvals else None
+            if needs_wvals:
+                np.matmul(dwk, synth[:m], out=w_vals)
+            if own:
+                # kept apart from the config grid's product, whose bytes it
+                # would otherwise change
+                np.matmul(dwk, noise_map, out=w_own)
             for i, level in enumerate(levels):
                 pos, vel = states[level]
                 new_pos, new_vel, tmp = scratch[level]
                 with np.errstate(over="ignore", invalid="ignore"):
-                    if synth_pos:
-                        s_level = synth[:level]
-                        v_vals = np.matmul(pos, s_level, out=v_buf)
+                    if level in fields:
+                        s_level, w_level, a_level, u = fields[level]
+                        np.matmul(pos, s_level, out=u)
                     dv = None
                     if drift is not None:
-                        # analyzed before the Anderson product reuses v_buf
-                        f_vals = _on_grid(drift, grid.nodes, v_vals)
+                        # analyzed before the Anderson product overwrites u
+                        f_vals = _on_grid(drift, grid.nodes, u)
                         dv = (f_vals @ s_level.T) / grid.intervals
                     if anderson:
                         if beta != 0.0:
-                            u = v_vals
-                            u *= w_vals
-                            incr = np.matmul(u, proj[:, :level], out=tmp)
+                            u *= w_level
+                            incr = np.matmul(u, a_level, out=tmp)
                             if beta != 1.0:
                                 incr *= beta
                             if alpha != 0.0:
@@ -286,8 +352,8 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
                             kk = min(level, m)
                             vel[:, :kk] += alpha * dwk[:, :kk]
                     elif pointwise:
-                        u = _on_grid(spec.pointwise_b, grid.nodes, v_vals) * w_vals
-                        vel = vel + (u @ s_level.T) / grid.intervals
+                        bw = _on_grid(spec.pointwise_b, grid.nodes, u) * w_level
+                        vel = vel + (bw @ s_level.T) / grid.intervals
                     elif spec.diffusion != "zero":
                         vel = vel + diffusion_vel(pos, dwk, spec, grid, level)
                     if dv is not None:

@@ -205,7 +205,11 @@ def _single_blas_thread():
 
 def _map_chunks(fn, chunks, workers: int | None):
     """Results of fn(chunk) in chunk order, ``workers`` at once, on one BLAS thread."""
-    workers = max(1, min(_usable_cpus() if workers is None else workers, len(chunks)))
+    if workers is None:
+        workers = _usable_cpus()
+    elif workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    workers = min(workers, len(chunks))
     with _single_blas_thread():
         if workers == 1:
             return [fn(c) for c in chunks]

@@ -299,19 +299,24 @@ class TestValidate:
         assert "FAIL  group isometry" in run.stdout
 
     def test_scaled_product_fails_exact_product(self, monkeypatch, capsys):
-        # mutation check: an Anderson product projection off by 1e-6 relative
+        # mutation check: an Anderson product projection off by 1e-6 relative,
+        # on the config's grid (reference 16) and on a level's own grid (4)
         import specwave.integrator as integrator
-        tables = integrator._engine_tables
 
-        def scaled(n_modes_max, g):
-            synth, proj = tables(n_modes_max, g)
-            return synth, proj * (1.0 + 1e-6)
+        for name, level in (("_engine_tables", 16), ("_own_grid_tables", 4)):
+            tables = getattr(integrator, name)
 
-        monkeypatch.setattr(integrator, "_engine_tables", scaled)
-        assert main(["validate"]) == 1
-        fails = [line for line in capsys.readouterr().out.splitlines()
-                 if line.startswith("FAIL")]
-        assert any("exact product" in line for line in fails)
+            def scaled(*args, tables=tables):
+                *rest, analysis = tables(*args)
+                return (*rest, analysis * (1.0 + 1e-6))
+
+            with monkeypatch.context() as patch:
+                patch.setattr(integrator, name, scaled)
+                assert main(["validate"]) == 1
+            fails = [line for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("FAIL")]
+            assert any(line.startswith("FAIL  exact product") and f"level {level}" in line
+                       for line in fails), name
 
     def test_no_runtime_warning(self):
         run = run_python("-W", "error::RuntimeWarning", "-m", "specwave.cli", "validate")

@@ -7,6 +7,7 @@ import pytest
 import specwave as sw
 from specwave.coefficients import diffusion_vel, drift_vel
 from specwave.integrator import run_chunk
+from specwave.validate import _terminal_states
 
 from conftest import expected_row, small_anderson_config, step_loop, zero_config
 
@@ -211,6 +212,45 @@ class TestBatchMatchesSingle:
             want_phi, want_gaps = expected_row(step_loop(cfg, 21, idx), cfg, phi)
             assert out["phi"][row] == pytest.approx(want_phi, rel=1e-12, abs=0)
             assert out["strong_sq"][row] == pytest.approx(want_gaps, rel=1e-12, abs=0)
+
+
+class TestOwnGrid:
+    """Anderson levels with 2L < grid_points form their product on 2L nodes."""
+
+    @staticmethod
+    def _config(n_ref, m_noise, grid_points, levels):
+        # every mode carries position and velocity, so an aliased mode L shows
+        rng = np.random.default_rng(n_ref + m_noise)
+        n = np.arange(1, n_ref + 1)
+        initial = sw.PairState(rng.standard_normal(n_ref) / n, rng.standard_normal(n_ref))
+        return sw.SimConfig(model=sw.build_model(1.0, n_ref), levels=levels,
+                            t_final=0.5, n_steps=4, m_noise=m_noise,
+                            spec=sw.preset("anderson"), initial=initial,
+                            grid_points=grid_points)
+
+    @pytest.mark.parametrize("n_ref, m_noise, grid_points, level", [
+        (8, 64, 0, 2),
+        (16, 16, 32, 15),
+        (16, 16, 32, 16),
+    ], ids=["noise-modes-far-above-level", "just-inside-2L-below-grid",
+            "just-outside-2L-equals-grid"])
+    def test_matches_step_loop(self, n_ref, m_noise, grid_points, level):
+        cfg = self._config(n_ref, m_noise, grid_points, (level,))
+        paths = range(2, 5)
+        (pos, vel), = _terminal_states(cfg, (level,), paths, 23)
+        for row, idx in enumerate(paths):
+            want = step_loop(cfg, 23, idx)[level]
+            assert np.max(np.abs(pos[row] - want.pos)) < 1e-12
+            assert np.max(np.abs(vel[row] - want.vel)) < 1e-12
+
+    def test_reference_keeps_its_bytes(self):
+        # the flagship's geometry scaled down: 2 n_ref = grid_points, so the
+        # reference stays on the config grid and every study level leaves it
+        cfg = self._config(16, 16, 32, (2, 4, 8))
+        phi = sw.exp_neg_norm()
+        alone = run_chunk(cfg, (cfg.n_ref,), range(5), 29, phi=phi)
+        coupled = run_chunk(cfg, (cfg.n_ref, *cfg.levels), range(5), 29, phi=phi)
+        assert np.array_equal(alone["phi"][:, 0], coupled["phi"][:, 0])
 
 
 class TestBlowUp:

@@ -128,6 +128,15 @@ class TestWeakStrongStudy:
         assert np.array_equal(tables[0].table.strong_error, tables[1].table.strong_error)
         assert np.array_equal(tables[0].moment_mean, tables[1].moment_mean)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_nonpositive_workers_rejected(self, workers):
+        cfg = zero_config()
+        with pytest.raises(ValueError, match="workers"):
+            sw.run_study(cfg, sw.exp_neg_norm(), 8, 1, workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            sw.estimate_functional(sw.exp_neg_norm(), cfg, cfg.n_ref, 8, 1,
+                                   workers=workers)
+
     def test_reference_must_exceed_levels(self):
         model = sw.build_model(1.0, 8)
         cfg = sw.SimConfig(model=model, levels=(8,), t_final=1.0, n_steps=8,
