@@ -30,7 +30,8 @@ import numpy.random  # noqa: F401
 
 from .coefficients import CoefficientSpec, diffusion_vel, drift_vel
 from .propagator import propagate_arrays, rotation_tables
-from .spectral import GridWorkspace, PairState, SpectralModel, _dct1, _sine_from_cos_matrix
+from .spectral import (GridWorkspace, PairState, SpectralModel, _cos_sine_inner, _dct1,
+                       _sine_from_cos_matrix)
 
 __all__ = [
     "BlowUpError",
@@ -163,6 +164,13 @@ def step(state: PairState, dt: float, dw: np.ndarray, spec: CoefficientSpec,
 # terminal states agree with that loop to floating-point reassociation
 # (~1e-15), which the test suite pins at 1e-12.
 
+def _sine_synthesis(n_modes: int, p: int) -> np.ndarray:
+    """e_n at the interior nodes q/p: entry [n-1, q-1] for n <= n_modes, q < p."""
+    q = np.arange(1, p, dtype=np.float64)
+    n = np.arange(1, n_modes + 1, dtype=np.float64)
+    return np.sqrt(2.0) * np.sin(np.pi * np.outer(n, q) / p)
+
+
 @lru_cache(maxsize=8)
 def _engine_tables(n_modes_max: int, g: int):
     """(synthesis, product-projection) matrices for an interior grid of g nodes.
@@ -179,9 +187,7 @@ def _engine_tables(n_modes_max: int, g: int):
     thread count is then active.
     """
     p = g + 1
-    q = np.arange(1, p, dtype=np.float64)
-    n = np.arange(1, n_modes_max + 1, dtype=np.float64)
-    synth = np.sqrt(2.0) * np.sin(np.pi * np.outer(n, q) / p)
+    synth = _sine_synthesis(n_modes_max, p)
     synth.setflags(write=False)
     m1 = _sine_from_cos_matrix(p, min(n_modes_max, g)).T
     folded = _dct1(m1[:, 1:-1], 2.0 * m1[:, 0], 2.0 * m1[:, -1])
@@ -201,20 +207,13 @@ def _own_grid_tables(level: int, m_noise: int):
     nodes q/(2L+1), q = 1..2L, returns its first L coefficients unaliased.
 
     synth (L x 2L) holds e_n at the nodes; noise (m_noise x 2L) maps noise
-    increments to the values of w~ there, from the closed form
-    <cos p pi ., e_k> = 2 sqrt2 k / (pi (k^2 - p^2)) for k + p odd, 0
-    otherwise, folded with the cosine synthesis by a DCT-I (an FFT, so the
-    bytes do not depend on the BLAS thread count); analysis is synth^T/(2L+1).
+    increments to the values of w~ there: the closed-form <cos p pi ., e_k>
+    folded with the cosine synthesis by a DCT-I (an FFT, so the bytes do not
+    depend on the BLAS thread count); analysis is synth^T/(2L+1).
     """
     p = 2 * level + 1
-    q = np.arange(1, p, dtype=np.float64)
-    n = np.arange(1, level + 1, dtype=np.float64)
-    synth = np.sqrt(2.0) * np.sin(np.pi * np.outer(n, q) / p)
-    k = np.arange(1, m_noise + 1, dtype=np.float64)[:, None]
-    c = np.arange(p, dtype=np.float64)[None, :]
-    odd = (k + c) % 2 == 1
-    cos_e = np.where(odd, 2.0 * np.sqrt(2.0) * k / (np.pi * np.where(odd, k * k - c * c, 1.0)),
-                     0.0)
+    synth = _sine_synthesis(level, p)
+    cos_e = _cos_sine_inner(p - 1, m_noise).T
     noise = np.ascontiguousarray(_dct1(cos_e[:, 1:p], cos_e[:, 0], 0.0)[:, 1:p])
     analysis = synth.T / p
     for a in (synth, noise, analysis):

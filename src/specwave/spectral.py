@@ -167,22 +167,30 @@ def hs_norm_lambda_pow(theta: float, beta: float, tol: float = 1e-8) -> float:
     return float(np.sqrt(2.0 * c * total))
 
 
+def _cos_sine_inner(m_max: int, n_max: int) -> np.ndarray:
+    """<e_j, cos(m pi .)> for m = 0..m_max (rows) and modes j = 1..n_max.
+
+    Closed form: 2 sqrt(2) j / (pi (j^2 - m^2)) when j + m is odd, zero
+    otherwise.
+    """
+    m = np.arange(m_max + 1, dtype=np.float64)[:, None]
+    j = np.arange(1, n_max + 1, dtype=np.float64)[None, :]
+    odd = (m + j) % 2 == 1
+    denom = np.where(odd, j * j - m * m, 1.0)
+    return np.where(odd, 2.0 * SQRT2 * j / (np.pi * denom), 0.0)
+
+
 @lru_cache(maxsize=32)
 def _sine_from_cos_matrix(intervals: int, n_max: int) -> np.ndarray:
     """Map DCT-I output on a closed grid to exact sine coefficients.
 
-    Column j (1-based mode) integrates cos(m pi x) against e_j:
-    <e_j, cos(m pi .)> = 2 sqrt(2) j / (pi (j^2 - m^2)) when j + m is odd,
-    zero otherwise.  The DCT-I normalization (1/P, halved at both ends) is
-    folded in, so ``dct1(values) @ matrix`` yields <e_j, u> for any cosine
-    polynomial u of degree <= intervals.
+    Column j (1-based mode) integrates cos(m pi x) against e_j
+    (``_cos_sine_inner``).  The DCT-I normalization (1/P, halved at both
+    ends) is folded in, so ``dct1(values) @ matrix`` yields <e_j, u> for any
+    cosine polynomial u of degree <= intervals.
     """
     p = intervals
-    m = np.arange(p + 1, dtype=np.float64)[:, None]
-    j = np.arange(1, n_max + 1, dtype=np.float64)[None, :]
-    odd = (m + j) % 2 == 1
-    denom = np.where(odd, j * j - m * m, 1.0)
-    s = np.where(odd, 2.0 * SQRT2 * j / (np.pi * denom), 0.0)
+    s = _cos_sine_inner(p, n_max)
     w = np.full(p + 1, 1.0 / p)
     w[0] = w[-1] = 0.5 / p
     out = np.asfortranarray(s * w[:, None])
