@@ -26,7 +26,7 @@ from .config import (ConfigError, bound_params_from_declared, config_digest,
                      load_bound_params, load_config)
 from .integrator import BlowUpError, SimConfig, noise_block, path_seed, step
 from .mc import run_study
-from .spectral import _weighted_norm, norm_bold_hr, project
+from .spectral import _weighted_norm, norm_bold_hr
 
 DEFAULT_SEED = 12345
 
@@ -76,7 +76,7 @@ def cmd_simulate(args) -> int:
     rho = setup.monitor_rho
     dt = cfg.dt
     noise = noise_block(path_seed(seed, 0), cfg.n_steps, cfg.m_noise, dt)
-    state = project(cfg.initial, cfg.n_ref)
+    state = cfg.initial
     # the weights of norm_bold_hr at r = 0 and r = rho, formed once; at rho = 0
     # both norms are the same number
     al = cfg.model.abs_lam(cfg.n_ref)

@@ -5,23 +5,22 @@ a state to (0, f(x, v(x))) and the diffusion maps a noise increment dW to
 (0, g(v) dW) where g depends on the kind:
 
 * ``anderson``: g(v) dW = (alpha + beta v) dW, pointwise multiplication.
-  v and the truncated increment are trigonometric polynomials, so the
-  product is projected onto the sine basis exactly (closed-grid cosine
-  analysis, no aliasing) whenever the grid satisfies G >= N + M.
+  Constant (additive) noise is beta = 0 and the deterministic equation is
+  alpha = beta = 0.  v and the truncated increment are trigonometric
+  polynomials, so the product is projected onto the sine basis exactly
+  (closed-grid cosine analysis, no aliasing) whenever the grid satisfies
+  G >= N + M; with beta = 0 there is no product and any grid serves.
 * ``pointwise``: g(v) dW = b(x, v(x)) dW(x), evaluated on the interior grid
   and analyzed back; oversampling controls aliasing for general b.
-* ``additive``: fixed column per noise mode, independent of the state.
-* ``zero``: no diffusion.
 
 ``diffusion_vel`` and ``drift_vel`` evaluate one increment with the grid's
 sine transforms; ``integrator.step``, the single-path stepper behind
 ``specwave simulate``, calls both.  The batched engine of the studies
-(``integrator.run_chunk``) evaluates the same Anderson, pointwise and drift
-fields through its cached dense synthesis and projection tables instead,
-synthesizing each level's position once per step, and calls
-``diffusion_vel`` for the additive kind only.  Neither function checks its
-output for NaN or infinity: a non-finite field leaves the rotated state
-non-finite, which the stepper reports as a blow-up.
+(``integrator.run_chunk``) evaluates the same fields through its cached
+dense synthesis and projection tables instead, synthesizing each level's
+position once per step.  Neither function checks its output for NaN or
+infinity: a non-finite field leaves the rotated state non-finite, which the
+stepper reports as a blow-up.
 
 The noise increments dW are i.i.d. Normal(0, dt) coefficients of the first M
 basis modes of a cylindrical Wiener process (``integrator.noise_block`` draws
@@ -44,7 +43,7 @@ __all__ = [
     "preset",
 ]
 
-DIFFUSION_KINDS = ("anderson", "pointwise", "additive", "zero")
+DIFFUSION_KINDS = ("anderson", "pointwise")
 PRESETS = ("anderson", "zero", "additive-heat-kick")
 
 
@@ -52,6 +51,8 @@ PRESETS = ("anderson", "zero", "additive-heat-kick")
 class CoefficientSpec:
     """Drift function, diffusion kind and parameters, user-declared norms.
 
+    ``alpha`` and ``beta`` are the affine coefficient of the ``anderson``
+    kind; ``pointwise_b`` is the multiplier of the ``pointwise`` kind.
     ``declared_norms`` are inputs for bound arithmetic, never estimated or
     certified by the artifact.
     """
@@ -61,7 +62,6 @@ class CoefficientSpec:
     alpha: float = 0.0
     beta: float = 1.0
     pointwise_b: Callable | None = None
-    columns: np.ndarray | None = None  # (m_noise, n_modes) velocity coefficients
     declared_norms: Mapping[str, float] | None = None
 
     def __post_init__(self):
@@ -69,13 +69,6 @@ class CoefficientSpec:
             raise ValueError(f"unknown diffusion kind {self.diffusion!r}")
         if self.diffusion == "pointwise" and self.pointwise_b is None:
             raise ValueError("pointwise diffusion needs a b(x, y) callable")
-        if self.diffusion == "additive":
-            if self.columns is None:
-                raise ValueError("additive diffusion needs a columns array")
-            cols = np.asarray(self.columns, dtype=np.float64)
-            if cols.ndim != 2 or not np.all(np.isfinite(cols)):
-                raise ValueError("columns must be a finite (m_noise, n_modes) array")
-            object.__setattr__(self, "columns", cols)
         if self.declared_norms is not None:
             bad = [k for k, v in self.declared_norms.items()
                    if isinstance(v, (int, float)) and k not in ("rho", "gamma", "beta") and v < 0]
@@ -83,20 +76,18 @@ class CoefficientSpec:
                 raise ValueError(f"declared norms must be nonnegative: {bad}")
 
 
-def preset(name: str, *, m_noise: int | None = None, n_modes: int | None = None,
-           sigma: float = 1.0) -> CoefficientSpec:
-    """Named coefficient presets selectable by string key."""
+def preset(name: str, *, sigma: float = 1.0) -> CoefficientSpec:
+    """Named settings (alpha, beta) of the affine coefficient (alpha + beta v) dW.
+
+    ``anderson`` is (0, 1), ``zero`` is (0, 0) and ``additive-heat-kick`` is
+    (sigma, 0): a kick sigma dW_k on each velocity mode k the noise drives.
+    """
     if name == "anderson":
-        return CoefficientSpec(diffusion="anderson", alpha=0.0, beta=1.0)
+        return CoefficientSpec(alpha=0.0, beta=1.0)
     if name == "zero":
-        return CoefficientSpec(diffusion="zero")
+        return CoefficientSpec(alpha=0.0, beta=0.0)
     if name == "additive-heat-kick":
-        if m_noise is None or n_modes is None:
-            raise ValueError("additive-heat-kick needs m_noise and n_modes")
-        cols = np.zeros((m_noise, n_modes))
-        k = min(m_noise, n_modes)
-        cols[:k, :k] = sigma * np.eye(k)
-        return CoefficientSpec(diffusion="additive", columns=cols)
+        return CoefficientSpec(alpha=sigma, beta=0.0)
     raise ValueError(f"unknown preset {name!r}; choose from {PRESETS}")
 
 
@@ -119,18 +110,8 @@ def diffusion_vel(pos: np.ndarray, dw: np.ndarray, spec: CoefficientSpec,
                   grid: GridWorkspace, n_out: int) -> np.ndarray:
     """Velocity coefficients of the diffusion increment, batched on last axis."""
     m = dw.shape[-1]
-    if spec.diffusion == "zero":
-        return np.zeros(pos.shape[:-1] + (n_out,))
-    if spec.diffusion == "additive":
-        cols = spec.columns
-        if cols.shape[0] != m:
-            raise ValueError(f"columns expect {cols.shape[0]} noise modes, got {m}")
-        out = dw @ cols[:, :n_out]
-        if cols.shape[1] < n_out:
-            out = np.pad(out, [(0, 0)] * (out.ndim - 1) + [(0, n_out - cols.shape[1])])
-        return out
     if spec.diffusion == "anderson":
-        if grid.n_points < n_out + m:
+        if spec.beta != 0.0 and grid.n_points < n_out + m:
             raise ValueError(
                 f"grid too coarse for exact dealiasing: need n_points >= {n_out + m}"
             )

@@ -1,7 +1,8 @@
 """Run configuration: schema-checked JSON with a restricted expression subset.
 
 A config file is a UTF-8 JSON object with flat keys grouped in sections
-``model``, ``time``, ``noise``, ``coefficients``, ``study``, ``output``.
+``model``, ``time``, ``noise``, ``coefficients``, ``study``, ``output``; an
+unknown section or key is an error that names it.
 Drift and pointwise-diffusion functions are given as expressions over the
 closed vocabulary {x, y, numeric constants, +, -, *, sin, cos, tanh}; the
 subset is large enough for smooth test nonlinearities and small enough to
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import mc
 from .analysis import BoundParams
-from .coefficients import CoefficientSpec, preset
+from .coefficients import PRESETS, CoefficientSpec, preset
 from .integrator import SimConfig
 from .spectral import PairState, build_model, hs_norm_lambda_pow
 
@@ -85,7 +86,14 @@ def compile_expression(text: str, field: str):
     return fn
 
 
-def _section(raw: dict, name: str, required: bool = True) -> dict:
+def _only(obj: dict, where: str, keys) -> None:
+    """Reject the first key of obj outside keys, naming it."""
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ConfigError(unknown[0], f"unknown field {where}{unknown[0]}")
+
+
+def _section(raw: dict, name: str, keys, required: bool = True) -> dict:
     sec = raw.get(name)
     if sec is None:
         if required:
@@ -93,6 +101,7 @@ def _section(raw: dict, name: str, required: bool = True) -> dict:
         return {}
     if not isinstance(sec, dict):
         raise ConfigError(name, "section must be an object")
+    _only(sec, f"{name}.", keys)
     return sec
 
 
@@ -116,6 +125,8 @@ def _get(sec: dict, section: str, key: str, kind, required: bool = True, default
 
 
 def _coeff_vector(mapping: dict, n_modes: int, field: str) -> np.ndarray:
+    if not isinstance(mapping, dict):
+        raise ConfigError(field, f"{field} must be an object of mode/value pairs")
     out = np.zeros(n_modes)
     for key, val in mapping.items():
         try:
@@ -145,28 +156,31 @@ class RunSetup:
 
 def load_config(path: str) -> RunSetup:
     raw = _load_json(path)
+    _only(raw, "", ("model", "time", "noise", "coefficients", "study", "output"))
 
-    model_sec = _section(raw, "model")
+    model_sec = _section(raw, "model", ("theta", "n_ref", "grid_points", "initial"))
     theta = _get(model_sec, "model", "theta", float)
     n_ref = _get(model_sec, "model", "n_ref", int)
     grid_points = _get(model_sec, "model", "grid_points", int, required=False, default=0)
     model = _wrap(lambda: build_model(theta, n_ref), "theta")
     initial_sec = _get(model_sec, "model", "initial", dict, required=False,
                        default={"pos": {}, "vel": {}})
+    _only(initial_sec, "model.initial.", ("pos", "vel"))
     pos = _coeff_vector(initial_sec.get("pos", {}), n_ref, "initial.pos")
     vel = _coeff_vector(initial_sec.get("vel", {}), n_ref, "initial.vel")
     initial = PairState(pos, vel)
 
-    time_sec = _section(raw, "time")
+    time_sec = _section(raw, "time", ("t_final", "n_steps"))
     t_final = _get(time_sec, "time", "t_final", float)
     n_steps = _get(time_sec, "time", "n_steps", int)
 
-    noise_sec = _section(raw, "noise")
+    noise_sec = _section(raw, "noise", ("m_noise",))
     m_noise = _get(noise_sec, "noise", "m_noise", int)
 
-    spec = _coefficients(_section(raw, "coefficients"), m_noise, n_ref)
+    spec = _coefficients(_section(raw, "coefficients", _COEFFICIENT_FIELDS))
 
-    study_sec = _section(raw, "study", required=False)
+    study_sec = _section(raw, "study", ("levels", "n_paths", "rho_monitor", "functional"),
+                         required=False)
     levels = study_sec.get("levels", [])
     if not isinstance(levels, list) or not all(
             isinstance(n, int) and not isinstance(n, bool) for n in levels):
@@ -175,7 +189,7 @@ def load_config(path: str) -> RunSetup:
     monitor_rho = _get(study_sec, "study", "rho_monitor", float, required=False, default=0.0)
     functional = _functional(study_sec.get("functional", {"kind": "exp_neg_norm"}), n_ref)
 
-    out_sec = _section(raw, "output", required=False)
+    out_sec = _section(raw, "output", ("directory",), required=False)
     out_dir = _get(out_sec, "output", "directory", str, required=False)
 
     declared = spec.declared_norms
@@ -198,7 +212,15 @@ def _wrap(builder, field):
         raise ConfigError(field, str(exc)) from None
 
 
-def _coefficients(sec: dict, m_noise: int, n_ref: int) -> CoefficientSpec:
+# the parameters each preset or kind name takes
+_PARAMETERS = {"anderson": ("alpha", "beta"), "zero": (),
+               "additive-heat-kick": ("sigma",), "pointwise": ("b",)}
+_KINDS = ("anderson", "pointwise", "zero")
+_COEFFICIENT_FIELDS = ("preset", "kind", "drift", "declared_norms", "alpha", "beta",
+                       "sigma", "b")
+
+
+def _coefficients(sec: dict) -> CoefficientSpec:
     declared = sec.get("declared_norms")
     if declared is not None and not isinstance(declared, dict):
         raise ConfigError("declared_norms", "coefficients.declared_norms must be an object")
@@ -207,45 +229,45 @@ def _coefficients(sec: dict, m_noise: int, n_ref: int) -> CoefficientSpec:
     if "drift" in sec:
         drift = compile_expression(_get(sec, "coefficients", "drift", str), "drift")
 
-    name = sec.get("preset")
-    if name is not None:
-        if name not in ("anderson", "zero", "additive-heat-kick"):
-            raise ConfigError("preset", f"unknown preset {name!r}")
-        sigma = _get(sec, "coefficients", "sigma", float, required=False, default=1.0)
-        base = _wrap(lambda: preset(name, m_noise=m_noise, n_modes=n_ref, sigma=sigma),
-                     "preset")
-        alpha = _get(sec, "coefficients", "alpha", float, required=False, default=base.alpha)
-        beta = _get(sec, "coefficients", "beta", float, required=False, default=base.beta)
-        return CoefficientSpec(diffusion=base.diffusion, drift=drift, alpha=alpha,
-                               beta=beta, columns=base.columns, declared_norms=declared)
+    if "preset" in sec and "kind" in sec:
+        raise ConfigError("kind", "give coefficients.preset or coefficients.kind, not both")
+    field, names = ("preset", PRESETS) if "preset" in sec else ("kind", _KINDS)
+    name = _get(sec, "coefficients", field, str)
+    if name not in names:
+        raise ConfigError(field, f"unknown {field} {name!r}")
+    for key in ("alpha", "beta", "sigma", "b"):
+        if key in sec and key not in _PARAMETERS[name]:
+            raise ConfigError(key, f"coefficients.{key} does not apply to {field} {name!r}")
 
-    kind = _get(sec, "coefficients", "kind", str)
-    if kind == "anderson":
-        alpha = _get(sec, "coefficients", "alpha", float, required=False, default=0.0)
-        beta = _get(sec, "coefficients", "beta", float, required=False, default=1.0)
-        return CoefficientSpec(diffusion="anderson", drift=drift, alpha=alpha,
-                               beta=beta, declared_norms=declared)
-    if kind == "pointwise":
+    if name == "pointwise":
         b_fn = compile_expression(_get(sec, "coefficients", "b", str), "b")
         return CoefficientSpec(diffusion="pointwise", drift=drift, pointwise_b=b_fn,
                                declared_norms=declared)
-    if kind == "zero":
-        return CoefficientSpec(diffusion="zero", drift=drift, declared_norms=declared)
-    raise ConfigError("kind", f"unknown diffusion kind {kind!r}")
+    sigma = _get(sec, "coefficients", "sigma", float, required=False, default=1.0)
+    base = preset(name, sigma=sigma)
+    alpha = _get(sec, "coefficients", "alpha", float, required=False, default=base.alpha)
+    beta = _get(sec, "coefficients", "beta", float, required=False, default=base.beta)
+    return CoefficientSpec(drift=drift, alpha=alpha, beta=beta, declared_norms=declared)
 
 
 def _functional(sec: dict, n_ref: int) -> mc.TestFunctional:
     if not isinstance(sec, dict):
         raise ConfigError("functional", "study.functional must be an object")
     kind = sec.get("kind", "exp_neg_norm")
+    where = "study.functional."
     if kind == "exp_neg_norm":
+        _only(sec, where, ("kind",))
         return mc.exp_neg_norm()
     if kind == "cos_pairing":
-        direction = sec.get("direction", {})
+        _only(sec, where, ("kind", "direction"))
+        direction = _get(sec, "study.functional", "direction", dict, required=False,
+                         default={})
+        _only(direction, where + "direction.", ("pos", "vel"))
         pos = _coeff_vector(direction.get("pos", {}), n_ref, "functional.direction")
         vel = _coeff_vector(direction.get("vel", {}), n_ref, "functional.direction")
         return mc.cos_pairing(PairState(pos, vel))
     if kind == "coordinate":
+        _only(sec, where, ("kind", "mode", "component"))
         mode = sec.get("mode")
         component = sec.get("component")
         if not isinstance(mode, int) or isinstance(mode, bool):

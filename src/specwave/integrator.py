@@ -91,8 +91,8 @@ class SimConfig:
         if self.initial.n_modes != self.model.n_modes:
             raise ValueError("initial state must be given at reference resolution")
         g = self.grid_points or 4 * max(self.model.n_modes, self.m_noise)
-        need = (self.model.n_modes + self.m_noise
-                if self.spec.diffusion == "anderson"
+        product = self.spec.diffusion == "anderson" and self.spec.beta != 0.0
+        need = (self.model.n_modes + self.m_noise if product
                 else max(self.model.n_modes, self.m_noise))
         if g < need:
             raise ValueError(f"grid_points={g} too coarse, need at least {need}")
@@ -244,22 +244,20 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
     dt = config.t_final / k_steps
     sqdt_fine = np.sqrt(config.dt)
 
-    anderson = spec.diffusion == "anderson"
     pointwise = spec.diffusion == "pointwise"
     drift = spec.drift
     alpha, beta = spec.alpha, spec.beta
     g = grid.n_points
-    synth = proj = None
-    if anderson or pointwise or drift is not None:
-        synth, proj = _engine_tables(max(model.n_modes, config.m_noise), g)
     # an Anderson level with 2L < g forms its product on its own 2L-point
     # grid; a drift needs the position on the config grid at every level
-    product = anderson and beta != 0.0
+    product = not pointwise and beta != 0.0
     own = [level for level in levels if 2 * level < g] if product and drift is None else []
     on_grid = [level for level in levels if level not in own]
     needs_wvals = (product or pointwise) and bool(on_grid)
     # one grid synthesis of the position per level-step serves every field
     synth_pos = needs_wvals or drift is not None
+    if synth_pos:
+        synth, proj = _engine_tables(max(model.n_modes, config.m_noise), g)
 
     states = {}
     tables = {}
@@ -336,25 +334,22 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
                         # analyzed before the Anderson product overwrites u
                         f_vals = _on_grid(drift, grid.nodes, u)
                         dv = (f_vals @ s_level.T) / grid.intervals
-                    if anderson:
-                        if beta != 0.0:
+                    if pointwise:
+                        bw = _on_grid(spec.pointwise_b, grid.nodes, u) * w_level
+                        vel = vel + (bw @ s_level.T) / grid.intervals
+                    else:
+                        if product:
                             u *= w_level
                             incr = np.matmul(u, a_level, out=tmp)
                             if beta != 1.0:
                                 incr *= beta
-                            if alpha != 0.0:
-                                kk = min(level, m)
-                                incr[:, :kk] += alpha * dwk[:, :kk]
-                            np.add(vel, incr, out=vel)
-                        elif alpha != 0.0:
-                            vel = vel.copy()
+                        else:
+                            incr = tmp
+                            incr.fill(0.0)
+                        if alpha != 0.0:
                             kk = min(level, m)
-                            vel[:, :kk] += alpha * dwk[:, :kk]
-                    elif pointwise:
-                        bw = _on_grid(spec.pointwise_b, grid.nodes, u) * w_level
-                        vel = vel + (bw @ s_level.T) / grid.intervals
-                    elif spec.diffusion != "zero":
-                        vel = vel + diffusion_vel(pos, dwk, spec, grid, level)
+                            incr[:, :kk] += alpha * dwk[:, :kk]
+                        np.add(vel, incr, out=vel)
                     if dv is not None:
                         vel = vel + dt * dv
                     # a non-finite field makes the rotated rows non-finite,

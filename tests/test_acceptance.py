@@ -134,8 +134,7 @@ def test_criterion_5_ito_isometry_additive():
     pos[0] = 1.0
     cfg = sw.SimConfig(model=model, levels=(8,), t_final=1.0, n_steps=64,
                        m_noise=m,
-                       spec=sw.preset("additive-heat-kick", m_noise=m, n_modes=n,
-                                      sigma=sigma),
+                       spec=sw.preset("additive-heat-kick", sigma=sigma),
                        initial=sw.PairState(pos, np.zeros(n)))
     closed = 1.0 + cfg.t_final * sigma**2 * float(np.sum(1.0 / model.abs_lam(n)))
 

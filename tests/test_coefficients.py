@@ -12,11 +12,13 @@ SQRT2 = math.sqrt(2.0)
 
 class TestSpecConstruction:
     def test_presets(self):
-        assert sw.preset("anderson").diffusion == "anderson"
-        assert sw.preset("zero").diffusion == "zero"
-        hk = sw.preset("additive-heat-kick", m_noise=6, n_modes=4, sigma=2.0)
-        assert hk.columns.shape == (6, 4)
-        assert hk.columns[1, 1] == 2.0 and hk.columns[4, 2] == 0.0
+        # every preset is a setting (alpha, beta) of the affine coefficient
+        settings = {name: sw.preset(name, sigma=2.0) for name in sw.coefficients.PRESETS}
+        assert {name: (s.diffusion, s.alpha, s.beta) for name, s in settings.items()} == {
+            "anderson": ("anderson", 0.0, 1.0),
+            "zero": ("anderson", 0.0, 0.0),
+            "additive-heat-kick": ("anderson", 2.0, 0.0),
+        }
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
@@ -28,7 +30,7 @@ class TestSpecConstruction:
 
     def test_negative_declared_norm_rejected(self):
         with pytest.raises(ValueError):
-            sw.CoefficientSpec(diffusion="zero", declared_norms={"f_lip0": -1.0})
+            sw.CoefficientSpec(beta=0.0, declared_norms={"f_lip0": -1.0})
 
 
 class TestSampleNoise:
@@ -57,13 +59,13 @@ class TestDrift:
     def test_constant_drift(self):
         # hand oracle: <e_1, 1> = integral of sqrt2 sin(pi x) = 2 sqrt2 / pi
         grid = sw.GridWorkspace(512)
-        spec = sw.CoefficientSpec(diffusion="zero", drift=lambda x, y: np.ones_like(y))
+        spec = sw.CoefficientSpec(beta=0.0, drift=lambda x, y: np.ones_like(y))
         st = sw.PairState([0.0], [0.0])
         out = drift_vel(st.pos, spec, grid, 1)
         assert out[0] == pytest.approx(2 * SQRT2 / math.pi, abs=1e-5)
 
     def test_identity_drift(self, grid32):
-        spec = sw.CoefficientSpec(diffusion="zero", drift=lambda x, y: y)
+        spec = sw.CoefficientSpec(beta=0.0, drift=lambda x, y: y)
         st = sw.PairState([1.0, 2.0, 0, 0, 0, 0, 0, 0], np.zeros(8))
         out = drift_vel(st.pos, spec, grid32, 8)
         assert np.max(np.abs(out - st.pos)) < 1e-12
@@ -71,8 +73,7 @@ class TestDrift:
     def test_non_finite_raises(self, model8, grid32):
         # the field is not probed on its own: the step's one state probe
         # reports the non-finite result as a blow-up of the path
-        spec = sw.CoefficientSpec(diffusion="zero",
-                                  drift=lambda x, y: np.full_like(y, np.inf))
+        spec = sw.CoefficientSpec(beta=0.0, drift=lambda x, y: np.full_like(y, np.inf))
         st = sw.PairState(np.ones(8), np.zeros(8))
         with pytest.raises(sw.BlowUpError):
             sw.step(st, 0.1, np.zeros(8), spec, grid32, model8)
@@ -133,7 +134,7 @@ class TestDiffusion:
             diffusion_vel(st.pos, np.ones(16), spec, sw.GridWorkspace(16), 8)
 
     def test_additive_columns(self, grid32):
-        spec = sw.preset("additive-heat-kick", m_noise=16, n_modes=8, sigma=0.5)
+        spec = sw.preset("additive-heat-kick", sigma=0.5)
         dw = np.zeros(16)
         dw[2] = 2.0
         st = sw.PairState(np.ones(8), np.ones(8))

@@ -1,0 +1,124 @@
+import copy
+import json
+import os
+
+import pytest
+
+from specwave.cli import main
+from specwave.config import ConfigError, load_bound_params, load_config
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+# configs/ holds run configs and the flat bound-parameter files of `specwave bound`
+BOUND_PARAMS = {"bound_all_ones.json"}
+SHIPPED = sorted(name for name in os.listdir(CONFIG_DIR) if name.endswith(".json"))
+
+with open(os.path.join(CONFIG_DIR, "zero_smoke.json"), encoding="utf-8") as _fh:
+    ZERO_SMOKE = json.load(_fh)
+
+
+def _write(tmp_path, obj):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return str(path)
+
+
+def _with(**sections):
+    """zero_smoke.json with the given sections replaced."""
+    obj = copy.deepcopy(ZERO_SMOKE)
+    obj.update(sections)
+    return obj
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_config_loads(name):
+    path = os.path.join(CONFIG_DIR, name)
+    if name in BOUND_PARAMS:
+        load_bound_params(path)
+    else:
+        load_config(path)
+
+
+@pytest.mark.parametrize("coefficients, alpha, beta", [
+    ({"preset": "anderson"}, 0.0, 1.0),
+    ({"preset": "anderson", "alpha": 0.25, "beta": 2.0}, 0.25, 2.0),
+    ({"preset": "zero"}, 0.0, 0.0),
+    ({"preset": "additive-heat-kick"}, 1.0, 0.0),
+    ({"preset": "additive-heat-kick", "sigma": 0.3}, 0.3, 0.0),
+    ({"kind": "anderson", "alpha": 0.2}, 0.2, 1.0),
+    ({"kind": "zero", "drift": "-tanh(y)"}, 0.0, 0.0),
+], ids=["anderson", "anderson-affine", "zero", "heat-kick", "heat-kick-sigma",
+        "kind-anderson", "kind-zero-drift"])
+def test_affine_settings_resolve(tmp_path, coefficients, alpha, beta):
+    spec = load_config(_write(tmp_path, _with(coefficients=coefficients))).config.spec
+    assert (spec.diffusion, spec.alpha, spec.beta) == ("anderson", alpha, beta)
+
+
+@pytest.mark.parametrize("coefficients, field", [
+    ({"preset": "zero", "beta": 1.0}, "beta"),
+    ({"kind": "zero", "alpha": 1.0}, "alpha"),
+    ({"preset": "additive-heat-kick", "alpha": 0.5}, "alpha"),
+    ({"preset": "additive-heat-kick", "beta": 0.5}, "beta"),
+    ({"preset": "anderson", "sigma": 2.0}, "sigma"),
+    ({"preset": "zero", "sigma": 2.0}, "sigma"),
+    ({"kind": "pointwise", "b": "sin(y)", "beta": 1.0}, "beta"),
+    ({"kind": "anderson", "b": "sin(y)"}, "b"),
+    ({"preset": "zero", "kind": "anderson"}, "kind"),
+], ids=["zero-beta", "kind-zero-alpha", "heat-kick-alpha", "heat-kick-beta",
+        "anderson-sigma", "zero-sigma", "pointwise-beta", "anderson-b", "preset-and-kind"])
+def test_coefficient_key_that_does_not_apply_rejected(tmp_path, coefficients, field):
+    with pytest.raises(ConfigError) as err:
+        load_config(_write(tmp_path, _with(coefficients=coefficients)))
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("path", [
+    ("studdy",),
+    ("model", "grid_point"),
+    ("model", "initial", "posx"),
+    ("time", "n_step"),
+    ("noise", "m"),
+    ("coefficients", "presets"),
+    ("study", "level"),
+    ("study", "functional", "mode"),
+    ("output", "dir"),
+], ids=".".join)
+def test_unknown_key_rejected(tmp_path, path):
+    obj = copy.deepcopy(ZERO_SMOKE)
+    obj.setdefault("output", {})
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = 1
+    with pytest.raises(ConfigError) as err:
+        load_config(_write(tmp_path, obj))
+    assert err.value.field == path[-1]
+    assert ".".join(path) in str(err.value)
+
+
+@pytest.mark.parametrize("functional, field", [
+    ({"kind": "cos_pairing", "direction": {"pos": {"1": 1.0}, "velocity": {}}}, "velocity"),
+    ({"kind": "coordinate", "mode": 1, "component": "pos", "direction": {}}, "direction"),
+], ids=["cos-pairing-direction", "coordinate"])
+def test_unknown_functional_key_rejected(tmp_path, functional, field):
+    obj = _with(study={**ZERO_SMOKE["study"], "functional": functional})
+    with pytest.raises(ConfigError) as err:
+        load_config(_write(tmp_path, obj))
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("obj, field", [
+    (_with(model={**ZERO_SMOKE["model"], "initial": {"pos": [1.0], "vel": {}}}),
+     "initial.pos"),
+    (_with(study={**ZERO_SMOKE["study"],
+                  "functional": {"kind": "cos_pairing", "direction": [1.0]}}), "direction"),
+], ids=["initial-pos", "functional-direction"])
+def test_mode_map_must_be_an_object(tmp_path, obj, field):
+    with pytest.raises(ConfigError) as err:
+        load_config(_write(tmp_path, obj))
+    assert err.value.field == field
+
+
+def test_unknown_key_exits_two(tmp_path, capsys):
+    cfg = _write(tmp_path, _with(studdy={}))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "studdy" in capsys.readouterr().err

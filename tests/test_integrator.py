@@ -25,7 +25,7 @@ class TestStep:
         # compose the drift oracle with the group: one step from rest
         model = sw.build_model(1.0, 1)
         grid = sw.GridWorkspace(512)
-        spec = sw.CoefficientSpec(diffusion="zero", drift=lambda x, y: np.ones_like(y))
+        spec = sw.CoefficientSpec(beta=0.0, drift=lambda x, y: np.ones_like(y))
         st = sw.PairState([0.0], [0.0])
         dt = 0.1
         out = sw.step(st, dt, np.zeros(1), spec, grid, model)
@@ -39,7 +39,7 @@ class TestStep:
         # one step from rest: state equals the rotated diffusion increment, and
         # the increment's velocity coefficients have second moment sigma^2 dt
         sigma, dt = 0.7, 0.2
-        spec = sw.preset("additive-heat-kick", m_noise=8, n_modes=8, sigma=sigma)
+        spec = sw.preset("additive-heat-kick", sigma=sigma)
         st = sw.PairState(np.zeros(8), np.zeros(8))
         rng = np.random.default_rng(1)
         draws = rng.standard_normal((100_000, 8)) * math.sqrt(dt)
@@ -84,12 +84,27 @@ class TestSimConfig:
                            initial=sw.PairState(np.zeros(8), np.zeros(8)))
         assert cfg.grid_points == 64  # 4 * max(n_ref, m_noise)
 
-    def test_coarse_grid_rejected_for_products(self, model8):
-        with pytest.raises(ValueError, match="grid_points"):
-            sw.SimConfig(model=model8, levels=(2,), t_final=1.0, n_steps=4,
-                         m_noise=16, spec=sw.preset("anderson"),
-                         initial=sw.PairState(np.zeros(8), np.zeros(8)),
-                         grid_points=16)
+    @pytest.mark.parametrize("spec, rejected", [
+        (sw.preset("anderson"), True),
+        (sw.CoefficientSpec(alpha=0.5, beta=0.5), True),
+        (sw.preset("zero"), False),
+        (sw.preset("additive-heat-kick", sigma=0.5), False),
+    ], ids=["anderson", "affine", "zero", "additive-heat-kick"])
+    def test_coarse_grid_rejected_for_products(self, model8, spec, rejected):
+        # 16 points = max(n_ref, m_noise) serve unless beta != 0 needs n_ref + m_noise
+        def build():
+            return sw.SimConfig(model=model8, levels=(2,), t_final=1.0, n_steps=4,
+                                m_noise=16, spec=spec,
+                                initial=sw.PairState(np.ones(8), np.zeros(8)),
+                                grid_points=16)
+
+        if rejected:
+            with pytest.raises(ValueError, match="grid_points"):
+                build()
+        else:
+            cfg = build()
+            assert cfg.grid_points == 16
+            run_chunk(cfg, (8, 2), range(2), 3)
 
 
 class TestSimulatePath:
@@ -113,6 +128,26 @@ class TestSimulatePath:
         with pytest.raises(ValueError, match="level 5"):
             sw.estimate_functional(sw.exp_neg_norm(), cfg, 5, 8, 1)
 
+    @pytest.mark.parametrize("level", [4, 16])
+    def test_additive_chunk_step_is_propagated_kick(self, level):
+        # one run_chunk step from rest: the rotated kick sigma dW on the first
+        # min(L, m) velocity modes, bit for bit
+        n, m, sigma, dt = 16, 8, 0.7, 0.2
+        model = sw.build_model(1.0, n)
+        cfg = sw.SimConfig(model=model, levels=(level,), t_final=dt, n_steps=1, m_noise=m,
+                           spec=sw.preset("additive-heat-kick", sigma=sigma),
+                           initial=sw.PairState(np.zeros(n), np.zeros(n)))
+        paths = range(3)
+        (pos, vel), = _terminal_states(cfg, (level,), paths, 41)
+        k = min(level, m)
+        for row, idx in enumerate(paths):
+            dw = sw.noise_block(sw.path_seed(41, idx), 1, m, dt)[0]
+            kick = np.zeros(level)
+            kick[:k] = sigma * dw[:k]
+            want = sw.propagate(sw.PairState(np.zeros(level), kick), dt, model)
+            assert np.array_equal(pos[row], want.pos)
+            assert np.array_equal(vel[row], want.vel)
+
     def test_additive_second_moment_closed_form(self):
         # Ito isometry plus the group isometry give the closed form
         # E ||X_T||^2 = ||xi||^2 + T sum_k ||P_N B e_k||^2
@@ -122,8 +157,7 @@ class TestSimulatePath:
         pos[0] = 1.0
         cfg = sw.SimConfig(model=model, levels=(4,), t_final=1.0, n_steps=32,
                            m_noise=m,
-                           spec=sw.preset("additive-heat-kick", m_noise=m,
-                                          n_modes=n, sigma=sigma),
+                           spec=sw.preset("additive-heat-kick", sigma=sigma),
                            initial=sw.PairState(pos, np.zeros(n)))
         closed = 1.0 + sigma**2 * float(np.sum(1.0 / model.abs_lam(n)))
         vals = np.empty(5000)
@@ -198,8 +232,7 @@ class TestBatchMatchesSingle:
                             drift=_tanh_drift), 0),
         (sw.CoefficientSpec(diffusion="anderson", alpha=0.3, beta=1.0, drift=_tanh_drift),
          32),
-        (sw.CoefficientSpec(diffusion="additive", columns=0.5 * np.eye(16),
-                            drift=_tanh_drift), 0),
+        (sw.CoefficientSpec(alpha=0.5, beta=0.0, drift=_tanh_drift), 0),
     ], ids=["pointwise-drift", "anderson-drift", "additive-drift"])
     def test_matches_simulate_coupled(self, spec, grid_points):
         # the reference is the step loop that coupled single-path runs consist of

@@ -70,8 +70,7 @@ class TestEstimateFunctional:
         model = sw.build_model(1.0, n)
         cfg = sw.SimConfig(model=model, levels=(4,), t_final=1.0, n_steps=16,
                            m_noise=m,
-                           spec=sw.preset("additive-heat-kick", m_noise=m,
-                                          n_modes=n, sigma=1.0),
+                           spec=sw.preset("additive-heat-kick", sigma=1.0),
                            initial=sw.PairState(np.zeros(n), np.zeros(n)))
         mean, se = sw.estimate_functional(sw.coordinate(3, "vel"), cfg, n, 10_000, 44)
         assert abs(mean) <= 3 * se
