@@ -241,13 +241,15 @@ def _coefficients(sec: dict) -> CoefficientSpec:
 
     if name == "pointwise":
         b_fn = compile_expression(_get(sec, "coefficients", "b", str), "b")
-        return CoefficientSpec(diffusion="pointwise", drift=drift, pointwise_b=b_fn,
-                               declared_norms=declared)
+        return _wrap(lambda: CoefficientSpec(diffusion="pointwise", drift=drift,
+                                             pointwise_b=b_fn, declared_norms=declared),
+                     "declared_norms")
     sigma = _get(sec, "coefficients", "sigma", float, required=False, default=1.0)
     base = preset(name, sigma=sigma)
     alpha = _get(sec, "coefficients", "alpha", float, required=False, default=base.alpha)
     beta = _get(sec, "coefficients", "beta", float, required=False, default=base.beta)
-    return CoefficientSpec(drift=drift, alpha=alpha, beta=beta, declared_norms=declared)
+    return _wrap(lambda: CoefficientSpec(drift=drift, alpha=alpha, beta=beta,
+                                         declared_norms=declared), "declared_norms")
 
 
 def _functional(sec: dict, n_ref: int) -> mc.TestFunctional:

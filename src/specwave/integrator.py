@@ -151,18 +151,33 @@ def step(state: PairState, dt: float, dw: np.ndarray, spec: CoefficientSpec,
 #
 # The study harness advances whole blocks of paths at once, with the sine
 # synthesis and the exact product projection realized as cached dense
-# matrices so every step reduces to a few BLAS products.  Each level-step
-# synthesizes its position on a grid once; the Anderson product, pointwise
-# b(x, v) dW and the drift f(x, v) all read those values, and pointwise and
-# drift fields are analyzed with the transposed synthesis table (the
-# discrete sine transform restricted to the level's modes).  An Anderson
-# level L with 2L < grid_points runs its product on its own grid of 2L
-# interior nodes (``_own_grid_tables``); ``grid_points`` sets the grid of
-# the other Anderson levels (the flagship's reference), of pointwise and
-# drift fields, and of every level when a drift is set.  Semantics are those
-# of a loop of ``step`` per path and level under the path's increments;
-# terminal states agree with that loop to floating-point reassociation
-# (~1e-15), which the test suite pins at 1e-12.
+# matrices so every step reduces to a few BLAS products.
+#
+# Every Anderson product (alpha + beta v) dW is formed from the mirror
+# symmetry x -> 1 - x of its grid: e_n takes the sign (-1)^(n+1) there, and
+# so do the projection's column j and the noise values of mode k.  Split into
+# odd modes O (even about x = 1/2) and even modes E (odd about it), the
+# product v w = (O_v O_w + E_v E_w) + (O_v E_w + E_v O_w) is an even part A,
+# which only the odd modes see, and an odd part B, which only the even modes
+# see.  So each level-step synthesizes O_v and E_v on the left half of the
+# nodes (the centre node of an odd grid included, where E vanishes) and
+# projects 2A onto the odd and 2B onto the even modes: three pairs of
+# half-size GEMMs in place of three full ones (the noise pair is shared by
+# the levels on one grid).  The tables are strided views of
+# ``_engine_tables`` and ``_own_grid_tables``, taken per call.  The node
+# weights, 2 for a node and its mirror and 1 for the centre, are folded into
+# the noise values once per step.
+#
+# An Anderson level L with 2L < grid_points runs its product on its own grid
+# of 2L interior nodes (``_own_grid_tables``); ``grid_points`` sets the grid
+# of the other Anderson levels (the flagship's reference), of pointwise and
+# drift fields, and of every level when a drift is set.  Pointwise b(x, v) dW
+# and the drift f(x, v) read the position synthesized on the full config
+# grid and are analyzed with the transposed synthesis table (the discrete
+# sine transform restricted to the level's modes).  Semantics are those of a
+# loop of ``step`` per path and level under the path's increments; terminal
+# states agree with that loop to floating-point reassociation (~1e-15), which
+# the test suite pins at 1e-12.
 
 def _sine_synthesis(n_modes: int, p: int) -> np.ndarray:
     """e_n at the interior nodes q/p: entry [n-1, q-1] for n <= n_modes, q < p."""
@@ -221,9 +236,28 @@ def _own_grid_tables(level: int, m_noise: int):
     return synth, noise, analysis
 
 
-# noise is streamed in bursts of this many fine steps to bound memory;
-# values are identical to drawing the whole block at once
-_NOISE_BURST = 32
+# noise is streamed in bursts of at most this many bytes (and at least one
+# step) through one buffer per call; values are identical to drawing the
+# whole block at once
+_NOISE_BURST_BYTES = 8 << 20
+
+
+def _mirror_halves(synth, analysis, level: int, noise_vals, b: int):
+    """Views and buffers of level's Anderson product split by mirror parity.
+
+    synth holds e_n at a grid's nodes and analysis maps its node values to
+    sine coefficients; only their left-half nodes and the level's odd
+    (n = 1, 3, ...) or even modes are taken.  noise_vals holds the odd- and
+    even-mode noise values on those nodes, weighted by the node weights.
+    Returns the four table views, the two noise views, and buffers for the
+    odd- and even-mode coefficients and for four left-half fields.
+    """
+    h = noise_vals.shape[-1]
+    n_odd, n_even = (level + 1) // 2, level // 2
+    return (synth[0:level:2, :h], synth[1:level:2, :h],
+            analysis[:h, 0:level:2], analysis[:h, 1:level:2], noise_vals[0], noise_vals[1],
+            np.empty((b, n_odd)), np.empty((b, n_even)),
+            np.empty((b, h)), np.empty((b, h)), np.empty((b, h)), np.empty((b, h)))
 
 
 def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
@@ -246,17 +280,17 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
 
     pointwise = spec.diffusion == "pointwise"
     drift = spec.drift
-    alpha, beta = spec.alpha, spec.beta
+    # the affine coefficient (alpha + beta v) dW of the anderson kind
+    alpha, beta = (0.0, 0.0) if pointwise else (spec.alpha, spec.beta)
     g = grid.n_points
     # an Anderson level with 2L < g forms its product on its own 2L-point
     # grid; a drift needs the position on the config grid at every level
-    product = not pointwise and beta != 0.0
+    product = beta != 0.0
     own = [level for level in levels if 2 * level < g] if product and drift is None else []
-    on_grid = [level for level in levels if level not in own]
-    needs_wvals = (product or pointwise) and bool(on_grid)
-    # one grid synthesis of the position per level-step serves every field
-    synth_pos = needs_wvals or drift is not None
-    if synth_pos:
+    on_grid = [level for level in levels if level not in own] if product else []
+    # pointwise and drift fields read the position on the full config grid
+    dense = pointwise or drift is not None
+    if dense or on_grid:
         synth, proj = _engine_tables(max(model.n_modes, config.m_noise), g)
 
     states = {}
@@ -281,77 +315,107 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
         for i, level in enumerate(levels):
             _record_moment(moments, i, 0, states[level], weights[level])
 
-    # per level: (position synthesis, noise values, product analysis, buffer
-    # of the position values), on the config grid or on the level's own grid
-    fields = {}
-    if synth_pos:
-        w_vals = np.empty((b, g)) if needs_wvals else None
-        v_buf = np.empty((b, g))
+    if dense:
+        u = np.empty((b, g))
+        w_vals = np.empty((b, g)) if pointwise else None
+        bw = np.empty((b, g)) if pointwise else None
+    # per Anderson level: its mirror halves (``_mirror_halves``); per grid:
+    # the odd- and even-mode noise maps and the weighted noise values, one
+    # GEMM pair per step for all the grid's levels.  Each own grid keeps its
+    # own pair: in one GEMM over all of them, BLAS may sum a level's columns
+    # in an order that depends on the other levels
+    halves = {}
+    noise_maps = []
+    if on_grid:
+        h = (g + 1) // 2
+        w_grid = np.empty((2, b, h))
+        noise_maps.append((synth[0:m:2, :h], synth[1:m:2, :h], w_grid))
         for level in on_grid:
-            fields[level] = (synth[:level], w_vals, proj[:, :level], v_buf)
-    if own:
-        own_tables = [_own_grid_tables(level, m) for level in own]
-        noise_map = np.concatenate([t[1] for t in own_tables], axis=1)
-        w_own = np.empty((b, noise_map.shape[1]))
-        col = 0
-        for level, (s_own, _, a_own) in zip(own, own_tables):
-            nodes = s_own.shape[1]
-            fields[level] = (s_own, w_own[:, col:col + nodes], a_own, np.empty((b, nodes)))
-            col += nodes
+            halves[level] = _mirror_halves(synth, proj, level, w_grid, b)
+    for level in own:
+        s_own, noise, a_own = _own_grid_tables(level, m)
+        w_own = np.empty((2, b, level))
+        noise_maps.append((noise[0::2, :level], noise[1::2, :level], w_own))
+        halves[level] = _mirror_halves(s_own, a_own, level, w_own, b)
+    if halves:
+        dw_odd, dw_even = np.empty((b, (m + 1) // 2)), np.empty((b, m // 2))
 
     gens = [np.random.default_rng(path_seed(master_seed, idx)) for idx in path_indices]
-    burst_fine = _NOISE_BURST * coarsen
+    burst = max(1, _NOISE_BURST_BYTES // (8 * b * m * coarsen))
+    burst_fine = min(burst * coarsen, config.n_steps)
+    block = np.empty((b, burst_fine, m))
+    coarse = np.empty((b, burst_fine // coarsen, m)) if coarsen > 1 else None
 
     k = 0
     fine_done = 0
     while fine_done < config.n_steps:
         span = min(burst_fine, config.n_steps - fine_done)
-        block = np.empty((b, span, m))
+        fine = block[:, :span]
         for row, gen in enumerate(gens):
-            block[row] = gen.standard_normal((span, m))
-        block *= sqdt_fine
+            gen.standard_normal(out=fine[row])
+        fine *= sqdt_fine
         if coarsen > 1:
-            block = block.reshape(b, span // coarsen, coarsen, m).sum(axis=2)
+            steps = coarse[:, :span // coarsen]
+            np.sum(fine.reshape(b, span // coarsen, coarsen, m), axis=2, out=steps)
+        else:
+            steps = fine
         fine_done += span
 
-        for j in range(block.shape[1]):
-            dwk = block[:, j]
-            if needs_wvals:
+        for j in range(steps.shape[1]):
+            dwk = steps[:, j]
+            if pointwise:
                 np.matmul(dwk, synth[:m], out=w_vals)
-            if own:
-                # kept apart from the config grid's product, whose bytes it
-                # would otherwise change
-                np.matmul(dwk, noise_map, out=w_own)
+            if halves:
+                # a left-half node stands for itself and its mirror: weight 2
+                np.multiply(dwk[:, 0::2], 2.0, out=dw_odd)
+                np.multiply(dwk[:, 1::2], 2.0, out=dw_even)
+                for map_odd, map_even, w in noise_maps:
+                    np.matmul(dw_odd, map_odd, out=w[0])
+                    np.matmul(dw_even, map_even, out=w[1])
+                if on_grid and g % 2:
+                    w_grid[:, :, -1] *= 0.5  # the centre node is its own mirror
             for i, level in enumerate(levels):
                 pos, vel = states[level]
                 new_pos, new_vel, tmp = scratch[level]
                 with np.errstate(over="ignore", invalid="ignore"):
-                    if level in fields:
-                        s_level, w_level, a_level, u = fields[level]
+                    if dense:
+                        s_level = synth[:level]
                         np.matmul(pos, s_level, out=u)
-                    dv = None
-                    if drift is not None:
-                        # analyzed before the Anderson product overwrites u
-                        f_vals = _on_grid(drift, grid.nodes, u)
-                        dv = (f_vals @ s_level.T) / grid.intervals
                     if pointwise:
-                        bw = _on_grid(spec.pointwise_b, grid.nodes, u) * w_level
-                        vel = vel + (bw @ s_level.T) / grid.intervals
-                    else:
-                        if product:
-                            u *= w_level
-                            incr = np.matmul(u, a_level, out=tmp)
-                            if beta != 1.0:
-                                incr *= beta
-                        else:
-                            incr = tmp
-                            incr.fill(0.0)
-                        if alpha != 0.0:
-                            kk = min(level, m)
-                            incr[:, :kk] += alpha * dwk[:, :kk]
-                        np.add(vel, incr, out=vel)
-                    if dv is not None:
-                        vel = vel + dt * dv
+                        np.multiply(_on_grid(spec.pointwise_b, grid.nodes, u), w_vals, out=bw)
+                        np.matmul(bw, s_level.T, out=tmp)
+                        tmp /= grid.intervals
+                        vel += tmp
+                    if level in halves:
+                        (s_odd, s_even, p_odd, p_even, w_odd, w_even,
+                         v_odd, v_even, o_vals, e_vals, x, y) = halves[level]
+                        np.copyto(v_odd, pos[:, 0::2])
+                        np.copyto(v_even, pos[:, 1::2])
+                        np.matmul(v_odd, s_odd, out=o_vals)
+                        np.matmul(v_even, s_even, out=e_vals)
+                        # B = O_v E_w + E_v O_w, the part odd about x = 1/2
+                        np.multiply(o_vals, w_even, out=x)
+                        np.multiply(e_vals, w_odd, out=y)
+                        x += y
+                        # A = O_v O_w + E_v E_w, the even part
+                        o_vals *= w_odd
+                        e_vals *= w_even
+                        o_vals += e_vals
+                        np.matmul(o_vals, p_odd, out=v_odd)
+                        np.matmul(x, p_even, out=v_even)
+                        if beta != 1.0:
+                            v_odd *= beta
+                            v_even *= beta
+                        vel[:, 0::2] += v_odd
+                        vel[:, 1::2] += v_even
+                    if alpha != 0.0:
+                        kk = min(level, m)
+                        vel[:, :kk] += alpha * dwk[:, :kk]
+                    if drift is not None:
+                        np.matmul(_on_grid(drift, grid.nodes, u), s_level.T, out=tmp)
+                        tmp /= grid.intervals
+                        tmp *= dt
+                        vel += tmp
                     # a non-finite field makes the rotated rows non-finite,
                     # so this one probe names the path of every blow-up
                     cos_t, sin_over_mu, neg_mu_sin = tables[level]

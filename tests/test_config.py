@@ -122,3 +122,17 @@ def test_unknown_key_exits_two(tmp_path, capsys):
     cfg = _write(tmp_path, _with(studdy={}))
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "studdy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coefficients", [
+    {"preset": "zero"},
+    {"kind": "pointwise", "b": "sin(y)"},
+], ids=["affine", "pointwise"])
+def test_negative_declared_norm_exits_two(tmp_path, capsys, coefficients):
+    cfg = _write(tmp_path, _with(coefficients={**coefficients,
+                                               "declared_norms": {"f_lip0": -1}}))
+    with pytest.raises(ConfigError) as err:
+        load_config(cfg)
+    assert err.value.field == "declared_norms"
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "f_lip0" in capsys.readouterr().err

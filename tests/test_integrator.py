@@ -248,33 +248,48 @@ class TestBatchMatchesSingle:
 
 
 class TestOwnGrid:
-    """Anderson levels with 2L < grid_points form their product on 2L nodes."""
+    """Anderson levels with 2L < grid_points form their product on 2L nodes.
+
+    Every Anderson product, on its own grid or on the config grid, is formed
+    from odd and even modes on the left half of the grid's nodes.
+    """
 
     @staticmethod
-    def _config(n_ref, m_noise, grid_points, levels):
+    def _config(n_ref, m_noise, grid_points, levels, spec=sw.preset("anderson")):
         # every mode carries position and velocity, so an aliased mode L shows
         rng = np.random.default_rng(n_ref + m_noise)
         n = np.arange(1, n_ref + 1)
         initial = sw.PairState(rng.standard_normal(n_ref) / n, rng.standard_normal(n_ref))
         return sw.SimConfig(model=sw.build_model(1.0, n_ref), levels=levels,
-                            t_final=0.5, n_steps=4, m_noise=m_noise,
-                            spec=sw.preset("anderson"), initial=initial,
-                            grid_points=grid_points)
+                            t_final=0.5, n_steps=4, m_noise=m_noise, spec=spec,
+                            initial=initial, grid_points=grid_points)
 
-    @pytest.mark.parametrize("n_ref, m_noise, grid_points, level", [
-        (8, 64, 0, 2),
-        (16, 16, 32, 15),
-        (16, 16, 32, 16),
+    @pytest.mark.parametrize("n_ref, m_noise, grid_points, levels, spec", [
+        (8, 64, 0, (2,), sw.preset("anderson")),
+        (16, 16, 32, (15,), sw.preset("anderson")),
+        (16, 16, 32, (16,), sw.preset("anderson")),
+        # 8, 9 and 10 on a 15-point grid, whose centre node is its own
+        # mirror; 2 and 7 on their own grids; an odd noise count
+        (10, 5, 15, (2, 7, 8, 9, 10), sw.preset("anderson")),
+        # 9 on an even grid; an even noise count
+        (9, 8, 18, (3, 8, 9), sw.preset("anderson")),
+        (10, 6, 17, (5, 9, 10), sw.CoefficientSpec(alpha=0.3, beta=0.7)),
+        # a drift puts every level on the config grid, here an odd one
+        (9, 7, 17, (1, 4, 9), sw.CoefficientSpec(alpha=0.2, beta=1.0, drift=_tanh_drift)),
+        # no even noise mode, and a level with no even mode
+        (3, 1, 5, (1, 3), sw.preset("anderson")),
     ], ids=["noise-modes-far-above-level", "just-inside-2L-below-grid",
-            "just-outside-2L-equals-grid"])
-    def test_matches_step_loop(self, n_ref, m_noise, grid_points, level):
-        cfg = self._config(n_ref, m_noise, grid_points, (level,))
+            "just-outside-2L-equals-grid", "odd-grid", "even-grid", "affine",
+            "anderson-drift", "single-modes"])
+    def test_matches_step_loop(self, n_ref, m_noise, grid_points, levels, spec):
+        cfg = self._config(n_ref, m_noise, grid_points, levels, spec)
         paths = range(2, 5)
-        (pos, vel), = _terminal_states(cfg, (level,), paths, 23)
+        states = _terminal_states(cfg, levels, paths, 23)
         for row, idx in enumerate(paths):
-            want = step_loop(cfg, 23, idx)[level]
-            assert np.max(np.abs(pos[row] - want.pos)) < 1e-12
-            assert np.max(np.abs(vel[row] - want.vel)) < 1e-12
+            want = step_loop(cfg, 23, idx)
+            for level, (pos, vel) in zip(levels, states):
+                assert np.max(np.abs(pos[row] - want[level].pos)) < 1e-12, level
+                assert np.max(np.abs(vel[row] - want[level].vel)) < 1e-12, level
 
     def test_reference_keeps_its_bytes(self):
         # the flagship's geometry scaled down: 2 n_ref = grid_points, so the
