@@ -20,11 +20,12 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, mc
 from .analysis import fit_rate, predicted_exponent, theoretical_weak_bound
 from .config import (ConfigError, bound_params_from_declared, config_digest,
                      load_bound_params, load_config)
-from .integrator import BlowUpError, SimConfig, noise_block, path_seed, step
+from .integrator import BlowUpError, SimConfig
+from .integrator import step  # noqa: F401  perfbench/tracing.py counts specwave.cli.step
 from .mc import run_study
 from .spectral import _weighted_norm, norm_bold_hr
 
@@ -74,40 +75,30 @@ def cmd_simulate(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     rho = setup.monitor_rho
-    dt = cfg.dt
-    noise = noise_block(path_seed(seed, 0), cfg.n_steps, cfg.m_noise, dt)
-    state = cfg.initial
     # the weights of norm_bold_hr at r = 0 and r = rho, formed once; at rho = 0
     # both norms are the same number
     al = cfg.model.abs_lam(cfg.n_ref)
     with np.errstate(over="ignore"):
         w_0 = (al**0.0, al**-1.0)
         w_rho = (al**rho, al ** (rho - 1.0))
+    rows = []
+    terminal = {"level": cfg.n_ref, "t_final": cfg.t_final}
 
-    def norms(state):
-        n_0 = _weighted_norm(state, *w_0)
-        return n_0, n_0 if rho == 0.0 else _weighted_norm(state, *w_rho)
+    def observe(i, k, pos, vel):
+        n_0 = _weighted_norm(pos, vel, *w_0)
+        rows.append((k, k * cfg.dt, n_0, n_0 if rho == 0.0 else _weighted_norm(pos, vel, *w_rho)))
+        if k == cfg.n_steps:
+            terminal.update(pos=pos[0].tolist(), vel=vel[0].tolist())
 
-    rows = [(0, 0.0, *norms(state))]
-    for k in range(cfg.n_steps):
-        try:
-            state = step(state, dt, noise[k], cfg.spec, cfg.grid, cfg.model,
-                         step_index=k)
-        except BlowUpError:
-            # the one simulated path is path 0 at the reference level
-            raise BlowUpError(k, level=cfg.n_ref, path_index=0) from None
-        rows.append((k + 1, (k + 1) * dt, *norms(state)))
+    # the one simulated path is path 0 at the reference level; looked up at
+    # call time so that a tracer patched onto mc.run_chunk times it
+    mc.run_chunk(cfg, (cfg.n_ref,), range(1), seed, observe=observe)
 
     with open(os.path.join(out_dir, "norms.csv"), "w", encoding="utf-8") as fh:
         fh.write("step,t,norm_h0,norm_hrho\n")
         for k, t, n0, nr in rows:
             fh.write(f"{k},{_fmt(t)},{_fmt(n0)},{_fmt(nr)}\n")
-    _write_json(os.path.join(out_dir, "state.json"), {
-        "level": cfg.n_ref,
-        "t_final": cfg.t_final,
-        "pos": [float(v) for v in state.pos],
-        "vel": [float(v) for v in state.vel],
-    })
+    _write_json(os.path.join(out_dir, "state.json"), terminal)
     _write_manifest(out_dir, args.config, seed, cfg, 1)
     return 0
 

@@ -14,17 +14,17 @@ a state to (0, f(x, v(x))) and the diffusion maps a noise increment dW to
   and analyzed back; oversampling controls aliasing for general b.
 
 ``diffusion_vel`` and ``drift_vel`` evaluate one increment with the grid's
-sine transforms; ``integrator.step``, the single-path stepper behind
-``specwave simulate``, calls both.  The batched engine of the studies
-(``integrator.run_chunk``) evaluates the same fields through its cached
-dense synthesis and projection tables instead, synthesizing each level's
+sine transforms for ``integrator.step``, the single-path form of a step
+that the tests compare the engine against; no command runs them.  The one
+stepping engine, ``integrator.run_chunk``, evaluates the same fields through
+its cached dense synthesis and projection tables, synthesizing each level's
 position once per step.  Neither function checks its output for NaN or
 infinity: a non-finite field leaves the rotated state non-finite, which the
 stepper reports as a blow-up.
 
 The noise increments dW are i.i.d. Normal(0, dt) coefficients of the first M
-basis modes of a cylindrical Wiener process (``integrator.noise_block`` draws
-them); M is fixed per study.
+basis modes of a cylindrical Wiener process, drawn per path by
+``run_chunk``; M is fixed per study.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +113,8 @@ def _get(sec: dict, section: str, key: str, kind, required: bool = True, default
         return default
     val = sec[key]
     if kind is float and isinstance(val, (int, float)) and not isinstance(val, bool):
+        if not math.isfinite(val):
+            raise ConfigError(key, f"{section}.{key} must be finite, got {val}")
         return float(val)
     if kind is int and isinstance(val, int) and not isinstance(val, bool):
         return int(val)
@@ -135,8 +138,8 @@ def _coeff_vector(mapping: dict, n_modes: int, field: str) -> np.ndarray:
             raise ConfigError(field, f"mode keys must be integers, got {key!r}") from None
         if not 1 <= mode <= n_modes:
             raise ConfigError(field, f"mode {mode} outside 1..{n_modes}")
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ConfigError(field, "mode values must be numbers")
+        if not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
+            raise ConfigError(field, f"mode values must be finite numbers, got {val!r}")
         out[mode - 1] = float(val)
     return out
 
@@ -185,6 +188,8 @@ def load_config(path: str) -> RunSetup:
     if not isinstance(levels, list) or not all(
             isinstance(n, int) and not isinstance(n, bool) for n in levels):
         raise ConfigError("levels", "study.levels must be a list of integers")
+    if any(n < 1 for n in levels):
+        raise ConfigError("levels", f"study.levels must be at least 1, got {levels}")
     n_paths = _get(study_sec, "study", "n_paths", int, required=False, default=1000)
     monitor_rho = _get(study_sec, "study", "rho_monitor", float, required=False, default=0.0)
     functional = _functional(study_sec.get("functional", {"kind": "exp_neg_norm"}), n_ref)

@@ -83,8 +83,8 @@ class SimConfig:
         if self.m_noise < 1:
             raise ValueError(f"m_noise must be at least 1, got {self.m_noise}")
         levels = tuple(int(n) for n in self.levels)
-        if any(b <= a for a, b in zip(levels, levels[1:])):
-            raise ValueError("levels must be strictly ascending")
+        if any(b <= a for a, b in zip((0, *levels), levels)):
+            raise ValueError(f"levels must be at least 1 and strictly ascending, got {levels}")
         if levels and levels[-1] > self.model.n_modes:
             raise ValueError("levels may not exceed the reference resolution")
         object.__setattr__(self, "levels", levels)
@@ -147,11 +147,12 @@ def step(state: PairState, dt: float, dw: np.ndarray, spec: CoefficientSpec,
     return PairState(new_pos, new_vel)
 
 
-# --- batched engine -------------------------------------------------------
+# --- the stepping engine --------------------------------------------------
 #
-# The study harness advances whole blocks of paths at once, with the sine
-# synthesis and the exact product projection realized as cached dense
-# matrices so every step reduces to a few BLAS products.
+# Every command (studies, ``specwave simulate`` on a block of one path, and
+# ``validate``) advances blocks of paths at once through ``run_chunk``, with
+# the sine synthesis and the exact product projection realized as cached
+# dense matrices so every step reduces to a few BLAS products.
 #
 # Every Anderson product (alpha + beta v) dW is formed from the mirror
 # symmetry x -> 1 - x of its grid: e_n takes the sign (-1)^(n+1) there, and
@@ -262,12 +263,15 @@ def _mirror_halves(synth, analysis, level: int, noise_vals, b: int):
 
 def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
               master_seed: int, *, coarsen: int = 1, phi=None,
-              strong_vs_first: bool = False, monitor_rho: float | None = None):
+              strong_vs_first: bool = False, observe=None):
     """Advance one block of coupled paths through all requested levels.
 
-    Returns a dict with, per path: functional values per level, squared
-    pair-space gaps to the first level, and per-step second-moment sums for
-    the monitor.  levels[0] acts as the reference when gaps are requested.
+    Returns a dict with, per path: functional values per level under
+    ``"phi"`` and squared pair-space gaps to the first level under
+    ``"strong_sq"``; levels[0] acts as the reference when gaps are requested.
+    ``observe(i, k, pos, vel)``, if given, sees the (paths, modes) state
+    arrays of levels[i] at every step k = 0..n_steps/coarsen; they are the
+    engine's buffers, valid only during the call.
     """
     model, spec, grid = config.model, config.spec, config.grid
     b = len(path_indices)
@@ -304,16 +308,9 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
         tables[level] = (cos_t, sin_t / mu, -mu * sin_t)
         scratch[level] = (np.empty_like(pos0), np.empty_like(pos0), np.empty_like(pos0))
 
-    moments = None
-    if monitor_rho is not None:
-        moments = np.zeros((len(levels), k_steps + 1, 2))
-        weights = {
-            level: (model.abs_lam(level) ** monitor_rho,
-                    model.abs_lam(level) ** (monitor_rho - 1.0))
-            for level in levels
-        }
+    if observe is not None:
         for i, level in enumerate(levels):
-            _record_moment(moments, i, 0, states[level], weights[level])
+            observe(i, 0, *states[level])
 
     if dense:
         u = np.empty((b, g))
@@ -428,11 +425,11 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
                     _raise_if_nonfinite(k, level, path_indices, new_pos, new_vel)
                 states[level] = (new_pos, new_vel)
                 scratch[level] = (pos, vel, tmp)
-                if moments is not None:
-                    _record_moment(moments, i, k + 1, states[level], weights[level])
+                if observe is not None:
+                    observe(i, k + 1, new_pos, new_vel)
             k += 1
 
-    out = {"moments": moments}
+    out = {}
     if phi is not None:
         out["phi"] = np.column_stack(
             [phi.evaluate_batch(*states[level], model) for level in levels])
@@ -469,9 +466,9 @@ def _raise_if_nonfinite(step_index, level, path_indices, *fields):
         raise BlowUpError(step_index, level=level, path_index=path_indices[bad])
 
 
-def _record_moment(moments, i, k, state, weights):
-    pos, vel = state
-    w_pos, w_vel = weights
+# mc.run_study's moment monitor calls this here, where perfbench/tracing.py counts it
+def _record_moment(out, pos, vel, w_pos, w_vel):
+    """out[:] = (sum, sum of squares) over paths of the weighted squared norms."""
     sq = (pos * pos) @ w_pos + (vel * vel) @ w_vel
-    moments[i, k, 0] = sq.sum()
-    moments[i, k, 1] = sq @ sq
+    out[0] = sq.sum()
+    out[1] = sq @ sq

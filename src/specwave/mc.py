@@ -43,6 +43,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import integrator
 from .integrator import SimConfig, run_chunk
 from .spectral import PairState, SpectralModel
 
@@ -268,17 +269,23 @@ def run_study(config: SimConfig, phi: TestFunctional, n_paths: int,
     chunks = _chunks(n_paths)
     phi_vals = np.empty((n_paths, n_levels + 1))
     strong_sq = np.empty((n_paths, n_levels))
-    moment_sums = (np.zeros((len(chunks), n_levels + 1, k_steps + 1, 2))
-                   if monitor_rho is not None else None)
+    moment_sums = weights = None
+    if monitor_rho is not None:
+        moment_sums = np.zeros((len(chunks), n_levels + 1, k_steps + 1, 2))
+        weights = [(config.model.abs_lam(level) ** monitor_rho,
+                    config.model.abs_lam(level) ** (monitor_rho - 1.0))
+                   for level in levels_run]
 
     def work(ci_chunk):
         ci, chunk = ci_chunk
+        observe = None
+        if moment_sums is not None:
+            def observe(i, k, pos, vel):
+                integrator._record_moment(moment_sums[ci, i, k], pos, vel, *weights[i])
         out = run_chunk(config, levels_run, chunk, master_seed, coarsen=coarsen,
-                        phi=phi, strong_vs_first=True, monitor_rho=monitor_rho)
+                        phi=phi, strong_vs_first=True, observe=observe)
         phi_vals[chunk.start:chunk.stop] = out["phi"]
         strong_sq[chunk.start:chunk.stop] = out["strong_sq"]
-        if moment_sums is not None:
-            moment_sums[ci] = out["moments"]
 
     _map_chunks(work, list(enumerate(chunks)), workers)
 

@@ -109,13 +109,13 @@ def norm_bold_hr(state: PairState, r: float, model: SpectralModel) -> float:
     """Pair-space norm: position weighted by |lam|^r, velocity by |lam|^(r-1)."""
     al = model.abs_lam(state.n_modes)
     with np.errstate(over="ignore"):
-        return _weighted_norm(state, al**r, al ** (r - 1.0))
+        return _weighted_norm(state.pos, state.vel, al**r, al ** (r - 1.0))
 
 
-def _weighted_norm(state: PairState, w_pos: np.ndarray, w_vel: np.ndarray) -> float:
+def _weighted_norm(pos, vel, w_pos: np.ndarray, w_vel: np.ndarray) -> float:
     """sqrt(sum w_pos pos^2 + sum w_vel vel^2), the pair-space norm for given weights."""
     with np.errstate(over="ignore"):  # near blow-up the norm is legitimately inf
-        s = np.sum(w_pos * state.pos**2) + np.sum(w_vel * state.vel**2)
+        s = np.sum(w_pos * pos**2) + np.sum(w_vel * vel**2)
         return float(np.sqrt(s))
 
 

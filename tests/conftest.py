@@ -33,12 +33,13 @@ def zero_config(n_ref=8, levels=(2, 4, 6), initial_pos=None, initial_vel=None):
                         initial=sw.PairState(pos, vel))
 
 
-def step_loop(config, master_seed, path_index, coarsen=1):
+def step_loop(config, master_seed, path_index, coarsen=1, observe=None):
     """Terminal states of one path at every level and the reference, by ``step``.
 
     The single-path arithmetic that ``run_chunk`` batches: the path's
     ``noise_block`` increments, summed over ``coarsen`` consecutive steps,
-    drive each level from the projected initial state.
+    drive each level from the projected initial state.  ``observe(level, k,
+    state)``, if given, sees each level's state at every step k = 0..K.
     """
     noise = sw.noise_block(sw.path_seed(master_seed, path_index), config.n_steps,
                            config.m_noise, config.dt)
@@ -47,8 +48,12 @@ def step_loop(config, master_seed, path_index, coarsen=1):
     out = {}
     for level in (*config.levels, config.n_ref):
         state = sw.PairState(config.initial.pos[:level], config.initial.vel[:level])
-        for dw in noise:
+        for k, dw in enumerate(noise):
+            if observe is not None:
+                observe(level, k, state)
             state = sw.step(state, dt, dw, config.spec, config.grid, config.model)
+        if observe is not None:
+            observe(level, len(noise), state)
         out[level] = state
     return out
 

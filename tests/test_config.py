@@ -136,3 +136,28 @@ def test_negative_declared_norm_exits_two(tmp_path, capsys, coefficients):
     assert err.value.field == "declared_norms"
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "f_lip0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("levels", [[0, 2, 4], [-3, 2, 4]], ids=["zero", "negative"])
+def test_levels_below_one_exit_two(tmp_path, capsys, levels):
+    # level 0 used to give a NaN slope, a negative level a numpy traceback
+    cfg = _write(tmp_path, _with(coefficients={"preset": "anderson"},
+                                 study={**ZERO_SMOKE["study"], "levels": levels}))
+    assert main(["convergence", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "(field: levels)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value, field", [
+    ("study", "rho_monitor", float("nan"), "rho_monitor"),
+    ("model", "initial", {"pos": {"1": float("nan")}, "vel": {}}, "initial.pos"),
+    ("time", "t_final", float("inf"), "t_final"),
+    ("coefficients", "beta", float("nan"), "beta"),
+], ids=["rho-monitor-nan", "initial-pos-nan", "t-final-infinity", "beta-nan"])
+def test_non_finite_number_exits_two(tmp_path, capsys, section, key, value, field):
+    # json reads the NaN and Infinity literals that json.dumps writes
+    obj = _with(**{section: {**ZERO_SMOKE[section], key: value}})
+    if section == "coefficients":
+        obj["coefficients"]["preset"] = "anderson"
+    cfg = _write(tmp_path, obj)
+    assert main(["convergence", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"(field: {field})" in capsys.readouterr().err

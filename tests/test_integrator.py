@@ -78,6 +78,12 @@ class TestSimConfig:
                          m_noise=4, spec=sw.preset("zero"),
                          initial=sw.PairState(np.zeros(8), np.zeros(8)))
 
+    def test_levels_below_one_rejected(self, model8):
+        with pytest.raises(ValueError, match="at least 1"):
+            sw.SimConfig(model=model8, levels=(0, 4), t_final=1.0, n_steps=4,
+                         m_noise=4, spec=sw.preset("zero"),
+                         initial=sw.PairState(np.zeros(8), np.zeros(8)))
+
     def test_default_grid(self, model8):
         cfg = sw.SimConfig(model=model8, levels=(2,), t_final=1.0, n_steps=4,
                            m_noise=16, spec=sw.preset("anderson"),

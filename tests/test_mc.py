@@ -184,8 +184,18 @@ class TestBatchedEngine:
             assert out["phi"][row] == pytest.approx(want_phi, abs=1e-12)
             assert out["strong_sq"][row] == pytest.approx(want_gaps, abs=1e-12)
 
-    def test_moment_monitor_matches_direct_norm(self):
+    def test_observer_sees_every_step_of_every_level(self):
         cfg = zero_config(initial_pos=[1, 0, 0, 0, 0, 0, 0, 0])
-        out = run_chunk(cfg, (8,), range(0, 4), 5, monitor_rho=0.0)
-        # zero coefficients: the group preserves the norm at every step
-        assert np.allclose(out["moments"][0, :, 0], 4.0, atol=1e-10)
+        seen = []
+
+        def observe(i, k, pos, vel):
+            inv_lam = 1.0 / cfg.model.abs_lam(pos.shape[1])
+            seen.append((i, k, pos.shape, (pos * pos).sum(axis=1)
+                         + (vel * vel * inv_lam).sum(axis=1)))
+
+        run_chunk(cfg, (8, 2), range(0, 4), 5, observe=observe)
+        assert sorted((i, k) for i, k, _, _ in seen) == [
+            (i, k) for i in range(2) for k in range(cfg.n_steps + 1)]
+        assert all(shape == (4, (8, 2)[i]) for i, _, shape, _ in seen)
+        # zero coefficients: the group preserves each path's norm at every step
+        assert np.allclose([sq for *_, sq in seen], 1.0, atol=1e-10)
