@@ -30,6 +30,8 @@ from .mc import run_study
 from .spectral import _weighted_norm, norm_bold_hr
 
 DEFAULT_SEED = 12345
+# simulate reduces its norm rows this many steps at a time
+_NORM_ROWS = 64
 
 __all__ = ["main", "entrypoint"]
 
@@ -81,23 +83,35 @@ def cmd_simulate(args) -> int:
     with np.errstate(over="ignore"):
         w_0 = (al**0.0, al**-1.0)
         w_rho = (al**rho, al ** (rho - 1.0))
-    rows = []
-    terminal = {"level": cfg.n_ref, "t_final": cfg.t_final}
+    # path 0's (pos, vel) rows are kept _NORM_ROWS steps at a time and their
+    # norms reduced a block at once; the last row is the terminal state
+    k_last = cfg.n_steps
+    rows = np.empty((2, _NORM_ROWS, cfg.n_ref))
+    norms = np.empty((2, k_last + 1))
 
     def observe(i, k, pos, vel):
-        n_0 = _weighted_norm(pos, vel, *w_0)
-        rows.append((k, k * cfg.dt, n_0, n_0 if rho == 0.0 else _weighted_norm(pos, vel, *w_rho)))
-        if k == cfg.n_steps:
-            terminal.update(pos=pos[0].tolist(), vel=vel[0].tolist())
+        r = k % _NORM_ROWS
+        rows[0, r] = pos[0]
+        rows[1, r] = vel[0]
+        if r == _NORM_ROWS - 1 or k == k_last:
+            block = slice(k - r, k + 1)
+            norms[0, block] = _weighted_norm(rows[0, :r + 1], rows[1, :r + 1], *w_0)
+            norms[1, block] = (norms[0, block] if rho == 0.0 else
+                               _weighted_norm(rows[0, :r + 1], rows[1, :r + 1], *w_rho))
 
-    # the one simulated path is path 0 at the reference level; looked up at
-    # call time so that a tracer patched onto mc.run_chunk times it
-    mc.run_chunk(cfg, (cfg.n_ref,), range(1), seed, observe=observe)
+    # the one simulated path is path 0 at the reference level, on one BLAS
+    # thread as in studies; looked up at call time so that a tracer patched
+    # onto mc.run_chunk times it
+    with mc._single_blas_thread():
+        mc.run_chunk(cfg, (cfg.n_ref,), range(1), seed, observe=observe)
+    r = k_last % _NORM_ROWS
+    terminal = {"level": cfg.n_ref, "t_final": cfg.t_final,
+                "pos": rows[0, r].tolist(), "vel": rows[1, r].tolist()}
 
     with open(os.path.join(out_dir, "norms.csv"), "w", encoding="utf-8") as fh:
         fh.write("step,t,norm_h0,norm_hrho\n")
-        for k, t, n0, nr in rows:
-            fh.write(f"{k},{_fmt(t)},{_fmt(n0)},{_fmt(nr)}\n")
+        for k, (n0, nr) in enumerate(norms.T):
+            fh.write(f"{k},{_fmt(k * cfg.dt)},{_fmt(n0)},{_fmt(nr)}\n")
     _write_json(os.path.join(out_dir, "state.json"), terminal)
     _write_manifest(out_dir, args.config, seed, cfg, 1)
     return 0

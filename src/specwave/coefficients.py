@@ -29,6 +29,7 @@ basis modes of a cylindrical Wiener process, drawn per path by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -70,8 +71,12 @@ class CoefficientSpec:
         if self.diffusion == "pointwise" and self.pointwise_b is None:
             raise ValueError("pointwise diffusion needs a b(x, y) callable")
         if self.declared_norms is not None:
-            bad = [k for k, v in self.declared_norms.items()
-                   if isinstance(v, (int, float)) and k not in ("rho", "gamma", "beta") and v < 0]
+            numbers = {k: v for k, v in self.declared_norms.items()
+                       if isinstance(v, (int, float))}
+            bad = [k for k, v in numbers.items() if not math.isfinite(v)]
+            if bad:
+                raise ValueError(f"declared norms must be finite: {bad}")
+            bad = [k for k, v in numbers.items() if k not in ("rho", "gamma", "beta") and v < 0]
             if bad:
                 raise ValueError(f"declared norms must be nonnegative: {bad}")
 

@@ -305,6 +305,8 @@ def load_bound_params(path: str) -> BoundParams:
         val = raw[name]
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             raise ConfigError(name, f"{name} must be a number")
+        if not math.isfinite(val):
+            raise ConfigError(name, f"{name} must be finite, got {val}")
         values[name] = float(val)
     return BoundParams(**values)
 

@@ -20,6 +20,7 @@ step count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -167,7 +168,16 @@ def step(state: PairState, dt: float, dw: np.ndarray, spec: CoefficientSpec,
 # the levels on one grid).  The tables are strided views of
 # ``_engine_tables`` and ``_own_grid_tables``, taken per call.  The node
 # weights, 2 for a node and its mirror and 1 for the centre, are folded into
-# the noise values once per step.
+# the noise values.
+#
+# The noise values do not depend on the state, so one GEMM pair per grid
+# forms them for a span of steps of the current burst at once: the span's
+# increments, stacked as (span * paths, modes / 2), meet the same map, and
+# each level-step reads its step's rows.  The span is sized from the block's
+# path count and m_noise alone (``_NOISE_SPAN_BYTES``), never from the levels
+# run, so a level run alone sees the GEMM shapes it sees run coupled.  A
+# 512-path block with m_noise > 32 keeps one step per span; a single path
+# on the flagship takes 128.
 #
 # An Anderson level L with 2L < grid_points runs its product on its own grid
 # of 2L interior nodes (``_own_grid_tables``); ``grid_points`` sets the grid
@@ -241,22 +251,23 @@ def _own_grid_tables(level: int, m_noise: int):
 # step) through one buffer per call; values are identical to drawing the
 # whole block at once
 _NOISE_BURST_BYTES = 8 << 20
+# the weighted noise values are formed for as many steps at once as fit this
+# many bytes of increments (and at least one step)
+_NOISE_SPAN_BYTES = 256 << 10
 
 
-def _mirror_halves(synth, analysis, level: int, noise_vals, b: int):
+def _mirror_halves(synth, analysis, level: int, h: int, b: int):
     """Views and buffers of level's Anderson product split by mirror parity.
 
     synth holds e_n at a grid's nodes and analysis maps its node values to
-    sine coefficients; only their left-half nodes and the level's odd
-    (n = 1, 3, ...) or even modes are taken.  noise_vals holds the odd- and
-    even-mode noise values on those nodes, weighted by the node weights.
-    Returns the four table views, the two noise views, and buffers for the
-    odd- and even-mode coefficients and for four left-half fields.
+    sine coefficients; only their h left-half nodes and the level's odd
+    (n = 1, 3, ...) or even modes are taken.  Returns the four table views,
+    and buffers for the odd- and even-mode coefficients and for four
+    left-half fields.
     """
-    h = noise_vals.shape[-1]
     n_odd, n_even = (level + 1) // 2, level // 2
     return (synth[0:level:2, :h], synth[1:level:2, :h],
-            analysis[:h, 0:level:2], analysis[:h, 1:level:2], noise_vals[0], noise_vals[1],
+            analysis[:h, 0:level:2], analysis[:h, 1:level:2],
             np.empty((b, n_odd)), np.empty((b, n_even)),
             np.empty((b, h)), np.empty((b, h)), np.empty((b, h)), np.empty((b, h)))
 
@@ -316,26 +327,28 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
         u = np.empty((b, g))
         w_vals = np.empty((b, g)) if pointwise else None
         bw = np.empty((b, g)) if pointwise else None
-    # per Anderson level: its mirror halves (``_mirror_halves``); per grid:
-    # the odd- and even-mode noise maps and the weighted noise values, one
-    # GEMM pair per step for all the grid's levels.  Each own grid keeps its
+    # per Anderson level: its grid's noise values and its mirror halves
+    # (``_mirror_halves``); per grid: the odd- and even-mode noise maps and
+    # the weighted noise values (odd/even, step of the span, path, node), one
+    # GEMM pair per span for all the grid's levels.  Each own grid keeps its
     # own pair: in one GEMM over all of them, BLAS may sum a level's columns
     # in an order that depends on the other levels
+    span = max(1, _NOISE_SPAN_BYTES // (8 * b * m))
     halves = {}
     noise_maps = []
     if on_grid:
         h = (g + 1) // 2
-        w_grid = np.empty((2, b, h))
+        w_grid = np.empty((2, span, b, h))
         noise_maps.append((synth[0:m:2, :h], synth[1:m:2, :h], w_grid))
         for level in on_grid:
-            halves[level] = _mirror_halves(synth, proj, level, w_grid, b)
+            halves[level] = (w_grid, _mirror_halves(synth, proj, level, h, b))
     for level in own:
         s_own, noise, a_own = _own_grid_tables(level, m)
-        w_own = np.empty((2, b, level))
+        w_own = np.empty((2, span, b, level))
         noise_maps.append((noise[0::2, :level], noise[1::2, :level], w_own))
-        halves[level] = _mirror_halves(s_own, a_own, level, w_own, b)
+        halves[level] = (w_own, _mirror_halves(s_own, a_own, level, level, b))
     if halves:
-        dw_odd, dw_even = np.empty((b, (m + 1) // 2)), np.empty((b, m // 2))
+        dw_odd, dw_even = np.empty((span, b, (m + 1) // 2)), np.empty((span, b, m // 2))
 
     gens = [np.random.default_rng(path_seed(master_seed, idx)) for idx in path_indices]
     burst = max(1, _NOISE_BURST_BYTES // (8 * b * m * coarsen))
@@ -346,31 +359,37 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
     k = 0
     fine_done = 0
     while fine_done < config.n_steps:
-        span = min(burst_fine, config.n_steps - fine_done)
-        fine = block[:, :span]
+        n_fine = min(burst_fine, config.n_steps - fine_done)
+        fine = block[:, :n_fine]
         for row, gen in enumerate(gens):
             gen.standard_normal(out=fine[row])
         fine *= sqdt_fine
         if coarsen > 1:
-            steps = coarse[:, :span // coarsen]
-            np.sum(fine.reshape(b, span // coarsen, coarsen, m), axis=2, out=steps)
+            steps = coarse[:, :n_fine // coarsen]
+            np.sum(fine.reshape(b, n_fine // coarsen, coarsen, m), axis=2, out=steps)
         else:
             steps = fine
-        fine_done += span
+        fine_done += n_fine
 
-        for j in range(steps.shape[1]):
+        n_burst = steps.shape[1]
+        for j in range(n_burst):
             dwk = steps[:, j]
             if pointwise:
                 np.matmul(dwk, synth[:m], out=w_vals)
-            if halves:
+            s = j % span
+            if halves and s == 0:
+                n = min(span, n_burst - j)
+                rows = steps[:, j:j + n].transpose(1, 0, 2)
                 # a left-half node stands for itself and its mirror: weight 2
-                np.multiply(dwk[:, 0::2], 2.0, out=dw_odd)
-                np.multiply(dwk[:, 1::2], 2.0, out=dw_even)
+                np.multiply(rows[:, :, 0::2], 2.0, out=dw_odd[:n])
+                np.multiply(rows[:, :, 1::2], 2.0, out=dw_even[:n])
+                odd_in = dw_odd[:n].reshape(n * b, -1)
+                even_in = dw_even[:n].reshape(n * b, -1)
                 for map_odd, map_even, w in noise_maps:
-                    np.matmul(dw_odd, map_odd, out=w[0])
-                    np.matmul(dw_even, map_even, out=w[1])
+                    np.matmul(odd_in, map_odd, out=w[0, :n].reshape(n * b, -1))
+                    np.matmul(even_in, map_even, out=w[1, :n].reshape(n * b, -1))
                 if on_grid and g % 2:
-                    w_grid[:, :, -1] *= 0.5  # the centre node is its own mirror
+                    w_grid[:, :n, :, -1] *= 0.5  # the centre node is its own mirror
             for i, level in enumerate(levels):
                 pos, vel = states[level]
                 new_pos, new_vel, tmp = scratch[level]
@@ -384,8 +403,9 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
                         tmp /= grid.intervals
                         vel += tmp
                     if level in halves:
-                        (s_odd, s_even, p_odd, p_even, w_odd, w_even,
-                         v_odd, v_even, o_vals, e_vals, x, y) = halves[level]
+                        w, (s_odd, s_even, p_odd, p_even,
+                            v_odd, v_even, o_vals, e_vals, x, y) = halves[level]
+                        w_odd, w_even = w[0, s], w[1, s]
                         np.copyto(v_odd, pos[:, 0::2])
                         np.copyto(v_even, pos[:, 1::2])
                         np.matmul(v_odd, s_odd, out=o_vals)
@@ -455,12 +475,12 @@ def _on_grid(fn, nodes, v_vals):
     return np.ascontiguousarray(np.broadcast_to(vals, v_vals.shape))
 
 
-def _raise_if_nonfinite(step_index, level, path_indices, *fields):
-    """Raise BlowUpError naming the first path whose row of a field is not finite."""
+def _raise_if_nonfinite(step_index, level, path_indices, pos, vel):
+    """Raise BlowUpError naming the first path whose row of pos or vel is not finite."""
     # a NaN or infinity poisons the sums; locate precisely only then
-    if np.isfinite(sum(float(f.sum()) for f in fields)):
+    if math.isfinite(np.add.reduce(pos, None) + np.add.reduce(vel, None)):
         return
-    finite = np.logical_and.reduce([np.isfinite(f).all(axis=1) for f in fields])
+    finite = np.logical_and.reduce([np.isfinite(f).all(axis=1) for f in (pos, vel)])
     if not finite.all():
         bad = int(np.flatnonzero(~finite)[0])
         raise BlowUpError(step_index, level=level, path_index=path_indices[bad])

@@ -109,14 +109,18 @@ def norm_bold_hr(state: PairState, r: float, model: SpectralModel) -> float:
     """Pair-space norm: position weighted by |lam|^r, velocity by |lam|^(r-1)."""
     al = model.abs_lam(state.n_modes)
     with np.errstate(over="ignore"):
-        return _weighted_norm(state.pos, state.vel, al**r, al ** (r - 1.0))
+        return float(_weighted_norm(state.pos, state.vel, al**r, al ** (r - 1.0)))
 
 
-def _weighted_norm(pos, vel, w_pos: np.ndarray, w_vel: np.ndarray) -> float:
-    """sqrt(sum w_pos pos^2 + sum w_vel vel^2), the pair-space norm for given weights."""
+def _weighted_norm(pos, vel, w_pos: np.ndarray, w_vel: np.ndarray):
+    """sqrt(sum w_pos pos^2 + sum w_vel vel^2) over the last axis: the pair-space
+    norm of a state, or of each row of (rows, modes) arrays, for given weights.
+
+    Each row is one contiguous pairwise sum, so a row's norm has the same bits
+    whether it is reduced alone or among other rows.
+    """
     with np.errstate(over="ignore"):  # near blow-up the norm is legitimately inf
-        s = np.sum(w_pos * pos**2) + np.sum(w_vel * vel**2)
-        return float(np.sqrt(s))
+        return np.sqrt(np.sum(w_pos * pos**2, axis=-1) + np.sum(w_vel * vel**2, axis=-1))
 
 
 def project(state: PairState, n_keep: int) -> PairState:

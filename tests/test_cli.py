@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import specwave as sw
+from specwave import mc
 from specwave.cli import main
 from specwave.config import load_config
+from specwave.spectral import _weighted_norm
 
 from conftest import step_loop
 
@@ -53,6 +55,14 @@ def run_python(*args):
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=120)
+
+
+def env_without_blas_setting():
+    """os.environ without OPENBLAS_NUM_THREADS, the package under test importable."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sw.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 class TestSimulate:
@@ -187,6 +197,44 @@ class TestSimulateMatchesStepLoop:
                      "--out", str(tmp_path / "out")]) == 0
 
 
+FLAGSHIP = os.path.join(os.path.dirname(__file__), "..", "configs",
+                        "anderson_acceptance.json")
+
+
+class TestSimulateNormRows:
+    """norms.csv, reduced a block of rows at a time, against each step's state."""
+
+    @pytest.mark.parametrize("config", [
+        None,
+        # 101 rows: one full block of 64 and a partial one; the columns differ
+        _with(SMALL_ANDERSON, model=RICH_INITIAL, time={"n_steps": 100},
+              study={"rho_monitor": 0.45}),
+    ], ids=["flagship", "rho-monitor"])
+    def test_rows_are_weighted_norms_bitwise(self, tmp_path, config):
+        path = FLAGSHIP if config is None else write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--seed", "5", "--out", str(out)]) == 0
+        setup = load_config(path)
+        cfg, rho = setup.config, setup.monitor_rho
+        states = []
+
+        def keep(i, k, pos, vel):
+            states.append((pos[0].copy(), vel[0].copy()))
+
+        with mc._single_blas_thread():
+            mc.run_chunk(cfg, (cfg.n_ref,), range(1), 5, observe=keep)
+        al = cfg.model.abs_lam(cfg.n_ref)
+        lines = (out / "norms.csv").read_text().splitlines()[1:]
+        assert len(lines) == len(states) == cfg.n_steps + 1
+        for k, (line, (pos, vel)) in enumerate(zip(lines, states)):
+            n_0 = float(_weighted_norm(pos, vel, al**0.0, al**-1.0))
+            n_rho = float(_weighted_norm(pos, vel, al**rho, al ** (rho - 1.0)))
+            assert line == f"{k},{k * cfg.dt!r},{n_0!r},{n_rho!r}"
+        state = json.loads(read(out / "state.json"))
+        assert state["pos"] == states[-1][0].tolist()
+        assert state["vel"] == states[-1][1].tolist()
+
+
 class TestConvergence:
     @pytest.mark.parametrize("flags, n_paths, field", [
         (["--paths", "0"], 64, "paths"),
@@ -275,10 +323,7 @@ class TestConvergence:
         wide["time"]["n_steps"] = 2
         wide["study"].update({"levels": [4, 16, 64], "n_paths": 520})
         cfg = write_config(tmp_path, wide)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(sw.__file__)))
-        base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        base["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, base.get("PYTHONPATH")) if p)
+        base = env_without_blas_setting()
         outs = []
         for workers, blas_env in (("1", {}), ("2", {"OPENBLAS_NUM_THREADS": "1"})):
             out = tmp_path / f"w{workers}"
@@ -288,6 +333,28 @@ class TestConvergence:
                            check=True, timeout=300)
             outs.append(out)
         assert read(outs[0] / "errors.csv") == read(outs[1] / "errors.csv")
+
+
+class TestSimulateAcrossProcesses:
+    def test_blas_thread_setting_leaves_bytes(self, tmp_path):
+        # the flagship's sizes over a few steps: a single path forms its noise
+        # values for many steps in one GEMM, large enough for a multithreaded
+        # BLAS to split
+        wide = json.loads(json.dumps(SMALL_ANDERSON))
+        wide["model"].update({"n_ref": 256, "grid_points": 512})
+        wide["noise"]["m_noise"] = 256
+        wide["time"]["n_steps"] = 40
+        cfg = write_config(tmp_path, wide)
+        base = env_without_blas_setting()
+        outs = []
+        for name, blas_env in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+            out = tmp_path / name
+            subprocess.run([sys.executable, "-m", "specwave.cli", "simulate",
+                            "--config", cfg, "--seed", "6", "--out", str(out)],
+                           env={**base, **blas_env}, check=True, timeout=300)
+            outs.append(out)
+        assert read(outs[0] / "norms.csv") == read(outs[1] / "norms.csv")
+        assert read(outs[0] / "state.json") == read(outs[1] / "state.json")
 
 
 class TestBound:
@@ -318,6 +385,20 @@ class TestBound:
         cfg = write_config(tmp_path, params, "bound.json")
         assert main(["bound", "--config", cfg]) == 2
         assert "beta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("phi_c2b", float("nan")), ("lambda_cut", float("inf")), ("gamma", float("nan")),
+    ], ids=["phi_c2b-nan", "lambda_cut-infinity", "gamma-nan"])
+    def test_non_finite_parameter_exits_two(self, tmp_path, capsys, key, value):
+        # json reads NaN and Infinity; a NaN bound used to print as invalid JSON
+        params = json.loads(read(os.path.join(os.path.dirname(__file__), "..",
+                                              "configs", "bound_all_ones.json")))
+        params[key] = value
+        cfg = write_config(tmp_path, params, "bound.json")
+        assert main(["bound", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert f"(field: {key})" in captured.err
+        assert captured.out == ""
 
     def test_missing_field_named(self, tmp_path, capsys):
         params = json.loads(read(os.path.join(os.path.dirname(__file__), "..",

@@ -138,6 +138,21 @@ def test_negative_declared_norm_exits_two(tmp_path, capsys, coefficients):
     assert "f_lip0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("f_lip0", float("nan")), ("phi_c2b", float("inf")), ("gamma", float("nan")),
+    ("hs_tol", float("-inf")),
+], ids=["f_lip0-nan", "phi_c2b-infinity", "gamma-nan", "hs_tol-minus-infinity"])
+def test_non_finite_declared_norm_exits_two(tmp_path, capsys, key, value):
+    # NaN < 0 is false, so only a finiteness check catches these
+    cfg = _write(tmp_path, _with(coefficients={"preset": "anderson",
+                                               "declared_norms": {key: value}}))
+    with pytest.raises(ConfigError) as err:
+        load_config(cfg)
+    assert err.value.field == "declared_norms"
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("levels", [[0, 2, 4], [-3, 2, 4]], ids=["zero", "negative"])
 def test_levels_below_one_exit_two(tmp_path, capsys, levels):
     # level 0 used to give a NaN slope, a negative level a numpy traceback

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import specwave as sw
+from specwave import integrator
 from specwave.coefficients import diffusion_vel, drift_vel
 from specwave.integrator import run_chunk
 from specwave.validate import _terminal_states
@@ -305,6 +307,66 @@ class TestOwnGrid:
         alone = run_chunk(cfg, (cfg.n_ref,), range(5), 29, phi=phi)
         coupled = run_chunk(cfg, (cfg.n_ref, *cfg.levels), range(5), 29, phi=phi)
         assert np.array_equal(alone["phi"][:, 0], coupled["phi"][:, 0])
+
+
+class TestNoiseSpans:
+    """Noise values formed for a span of steps at once, against the step loop.
+
+    The span and burst byte budgets are shrunk so that a few paths see
+    spans of several steps that divide neither the burst nor n_steps.
+    """
+
+    @staticmethod
+    def _shrink(monkeypatch, cfg, b, span, burst, coarsen=1):
+        """Spans of ``span`` steps in bursts of ``burst`` steps, for b paths."""
+        step_bytes = 8 * b * cfg.m_noise
+        monkeypatch.setattr(integrator, "_NOISE_SPAN_BYTES", span * step_bytes)
+        monkeypatch.setattr(integrator, "_NOISE_BURST_BYTES", burst * step_bytes * coarsen)
+
+    @staticmethod
+    def _final_states(cfg, levels, paths, seed, coarsen=1):
+        states = {}
+
+        def keep(i, k, pos, vel):
+            states[levels[i]] = (pos.copy(), vel.copy())
+
+        run_chunk(cfg, levels, paths, seed, coarsen=coarsen, observe=keep)
+        return states
+
+    @pytest.mark.parametrize("n_ref, m_noise, grid_points, levels, n_steps, coarsen", [
+        # 50 steps in bursts of 11: spans of 4, 4, 3 and, in the last burst, 4, 2
+        (16, 16, 32, (2, 4, 8), 50, 1),
+        # 25 coarse steps in bursts of 11: spans of 4, 4, 3 and 3
+        (16, 16, 32, (2, 4, 8), 50, 2),
+        # 8 and 9 on a 15-point grid, whose centre node is its own mirror
+        (10, 5, 15, (2, 7, 8, 9), 30, 1),
+    ], ids=["uneven-spans", "coarsened", "odd-grid"])
+    def test_matches_step_loop(self, monkeypatch, n_ref, m_noise, grid_points, levels,
+                               n_steps, coarsen):
+        cfg = TestOwnGrid._config(n_ref, m_noise, grid_points, levels)
+        cfg = dataclasses.replace(cfg, n_steps=n_steps)
+        paths = range(2, 5)
+        self._shrink(monkeypatch, cfg, len(paths), span=4, burst=11, coarsen=coarsen)
+        levels_run = (cfg.n_ref, *levels)
+        states = self._final_states(cfg, levels_run, paths, 31, coarsen)
+        for row, idx in enumerate(paths):
+            want = step_loop(cfg, 31, idx, coarsen=coarsen)
+            for level in levels_run:
+                pos, vel = states[level]
+                assert np.max(np.abs(pos[row] - want[level].pos)) < 1e-12, level
+                assert np.max(np.abs(vel[row] - want[level].vel)) < 1e-12, level
+
+    def test_coupled_matches_alone_bitwise(self, monkeypatch):
+        # the span follows the block's paths and noise modes, not the levels run
+        cfg = dataclasses.replace(TestOwnGrid._config(16, 16, 32, (2, 4, 8)), n_steps=50)
+        paths = range(4)
+        self._shrink(monkeypatch, cfg, len(paths), span=3, burst=16)
+        levels = (cfg.n_ref, *cfg.levels)
+        coupled = self._final_states(cfg, levels, paths, 37)
+        for level in levels:
+            alone = self._final_states(cfg, (level,), paths, 37)[level]
+            assert np.array_equal(coupled[level][0], alone[0]), level
+            assert np.array_equal(coupled[level][1], alone[1]), level
 
 
 class TestBlowUp:
