@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .analysis import (BoundParams, ExponentPair, RateFit, fit_rate,
                        predicted_exponent, theoretical_weak_bound)
 from .coefficients import CoefficientSpec, preset
-from .integrator import BlowUpError, SimConfig, noise_block, path_seed, step
+from .integrator import BlowUpError, SimConfig, path_seed, step
 from .mc import (ErrorTable, StudyReport, TestFunctional, coordinate,
                  cos_pairing, estimate_functional, exp_neg_norm, run_study)
 from .propagator import propagate
@@ -23,7 +23,7 @@ __all__ = [
     "BoundParams", "ExponentPair", "RateFit", "fit_rate",
     "predicted_exponent", "theoretical_weak_bound",
     "CoefficientSpec", "preset",
-    "BlowUpError", "SimConfig", "noise_block", "path_seed", "step",
+    "BlowUpError", "SimConfig", "path_seed", "step",
     "ErrorTable", "StudyReport", "TestFunctional", "coordinate", "cos_pairing",
     "estimate_functional", "exp_neg_norm", "run_study",
     "propagate",

@@ -129,6 +129,14 @@ def cmd_convergence(args) -> int:
         raise ConfigError(field, f"a study needs at least 2 paths, got {n_paths}")
     if args.workers is not None and args.workers < 1:
         raise ConfigError("workers", f"need at least 1 worker, got {args.workers}")
+    bounds = None
+    if setup.declared is not None:
+        # every bound input but lambda_cut is checked and formed once, before
+        # the first path runs
+        params, expo = bound_params_from_declared(setup)
+        bounds = [theoretical_weak_bound(params(
+            lambda_cut=float(cfg.model.theta * np.pi**2 * (level + 1) ** 2)))
+            for level in cfg.levels]
     out_dir = args.out or setup.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
 
@@ -205,34 +213,23 @@ def cmd_convergence(args) -> int:
                            for i, k in enumerate(sup_idx)],
         }
 
-    if setup.declared is not None:
+    if bounds is not None:
         d = setup.declared
-        try:
-            bounds = []
-            for level in table.levels:
-                cut = cfg.model.theta * np.pi**2 * (level + 1) ** 2
-                params = bound_params_from_declared(setup, float(cut))
-                bounds.append(theoretical_weak_bound(params))
-            expo = predicted_exponent(float(d["gamma"]), float(d["beta"]))
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError("declared_norms", str(exc)) from None
         satisfied = bool(np.all(np.abs(table.weak_error) - 3.0 * table.weak_stderr
                                 <= np.asarray(bounds)))
         out["bound"] = {
-            "gamma": float(d["gamma"]),
-            "beta": float(d["beta"]),
-            "rho": float(d.get("rho", 0.0)),
+            "gamma": d["gamma"],
+            "beta": d["beta"],
+            "rho": d["rho"],
             "values": [float(b) for b in bounds],
             "lambda_exponent": expo.lambda_exponent,
             "n_exponent": expo.n_exponent,
             "dominates_measured": satisfied,
         }
-        if "moment_f_lip" in d and "moment_b_hs" in d and report.moment_mean is not None:
+        if "moment_f_lip" in d and report.moment_mean is not None:
             env = max(1.0, norm_bold_hr(cfg.initial, report.monitor_rho, cfg.model)) \
-                * float(np.exp(cfg.t_final * (float(d["moment_f_lip"])
-                                              + 0.5 * float(d["moment_b_hs"]) ** 2)))
+                * float(np.exp(cfg.t_final * (d["moment_f_lip"]
+                                              + 0.5 * d["moment_b_hs"] ** 2)))
             sup_idx = report.moment_mean.argmax(axis=1)
             sups = np.sqrt(report.moment_mean[np.arange(len(sup_idx)), sup_idx])
             sup_se = report.moment_stderr[np.arange(len(sup_idx)), sup_idx]

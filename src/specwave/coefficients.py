@@ -29,9 +29,8 @@ basis modes of a cylindrical Wiener process, drawn per path by
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -50,12 +49,10 @@ PRESETS = ("anderson", "zero", "additive-heat-kick")
 
 @dataclass(frozen=True)
 class CoefficientSpec:
-    """Drift function, diffusion kind and parameters, user-declared norms.
+    """Drift function, diffusion kind and its parameters.
 
     ``alpha`` and ``beta`` are the affine coefficient of the ``anderson``
     kind; ``pointwise_b`` is the multiplier of the ``pointwise`` kind.
-    ``declared_norms`` are inputs for bound arithmetic, never estimated or
-    certified by the artifact.
     """
 
     diffusion: str = "anderson"
@@ -63,22 +60,12 @@ class CoefficientSpec:
     alpha: float = 0.0
     beta: float = 1.0
     pointwise_b: Callable | None = None
-    declared_norms: Mapping[str, float] | None = None
 
     def __post_init__(self):
         if self.diffusion not in DIFFUSION_KINDS:
             raise ValueError(f"unknown diffusion kind {self.diffusion!r}")
         if self.diffusion == "pointwise" and self.pointwise_b is None:
             raise ValueError("pointwise diffusion needs a b(x, y) callable")
-        if self.declared_norms is not None:
-            numbers = {k: v for k, v in self.declared_norms.items()
-                       if isinstance(v, (int, float))}
-            bad = [k for k, v in numbers.items() if not math.isfinite(v)]
-            if bad:
-                raise ValueError(f"declared norms must be finite: {bad}")
-            bad = [k for k, v in numbers.items() if k not in ("rho", "gamma", "beta") and v < 0]
-            if bad:
-                raise ValueError(f"declared norms must be nonnegative: {bad}")
 
 
 def preset(name: str, *, sigma: float = 1.0) -> CoefficientSpec:

@@ -16,14 +16,15 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import mc
-from .analysis import BoundParams
+from .analysis import BoundParams, ExponentPair, predicted_exponent
 from .coefficients import PRESETS, CoefficientSpec, preset
 from .integrator import SimConfig
-from .spectral import PairState, build_model, hs_norm_lambda_pow
+from .spectral import PairState, build_model, hs_norm_lambda_pow, norm_bold_hr
 
 __all__ = [
     "ConfigError",
@@ -106,16 +107,31 @@ def _section(raw: dict, name: str, keys, required: bool = True) -> dict:
     return sec
 
 
+def _number(val, field: str, name: str) -> float:
+    """val as a finite float, else a ConfigError on field that names name.
+
+    JSON gives ints of any size and the NaN and Infinity literals; all three
+    are rejected here, so no later float() or isfinite() can raise.
+    """
+    if not isinstance(val, (int, float)) or isinstance(val, bool):
+        raise ConfigError(field, f"{name} must be a number, got {val!r:.40}")
+    try:
+        out = float(val)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise ConfigError(field, f"{name} must be finite, got {val!r:.40}")
+    return out
+
+
 def _get(sec: dict, section: str, key: str, kind, required: bool = True, default=None):
     if key not in sec:
         if required:
             raise ConfigError(key, f"missing required field {section}.{key}")
         return default
     val = sec[key]
-    if kind is float and isinstance(val, (int, float)) and not isinstance(val, bool):
-        if not math.isfinite(val):
-            raise ConfigError(key, f"{section}.{key} must be finite, got {val}")
-        return float(val)
+    if kind is float:
+        return _number(val, key, f"{section}.{key}")
     if kind is int and isinstance(val, int) and not isinstance(val, bool):
         return int(val)
     if kind is str and isinstance(val, str):
@@ -138,9 +154,7 @@ def _coeff_vector(mapping: dict, n_modes: int, field: str) -> np.ndarray:
             raise ConfigError(field, f"mode keys must be integers, got {key!r}") from None
         if not 1 <= mode <= n_modes:
             raise ConfigError(field, f"mode {mode} outside 1..{n_modes}")
-        if not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
-            raise ConfigError(field, f"mode values must be finite numbers, got {val!r}")
-        out[mode - 1] = float(val)
+        out[mode - 1] = _number(val, field, f"{field} mode {mode}")
     return out
 
 
@@ -152,8 +166,7 @@ class RunSetup:
     functional: mc.TestFunctional
     n_paths: int
     monitor_rho: float
-    declared: dict | None
-    hs_tol: float
+    declared: dict | None  # checked declared norms, defaults filled in
     out_dir: str | None
 
 
@@ -180,7 +193,9 @@ def load_config(path: str) -> RunSetup:
     noise_sec = _section(raw, "noise", ("m_noise",))
     m_noise = _get(noise_sec, "noise", "m_noise", int)
 
-    spec = _coefficients(_section(raw, "coefficients", _COEFFICIENT_FIELDS))
+    coefficients_sec = _section(raw, "coefficients", _COEFFICIENT_FIELDS)
+    spec = _coefficients(coefficients_sec)
+    declared = _declared_norms(coefficients_sec)
 
     study_sec = _section(raw, "study", ("levels", "n_paths", "rho_monitor", "functional"),
                          required=False)
@@ -197,17 +212,11 @@ def load_config(path: str) -> RunSetup:
     out_sec = _section(raw, "output", ("directory",), required=False)
     out_dir = _get(out_sec, "output", "directory", str, required=False)
 
-    declared = spec.declared_norms
-    hs_tol = 1e-6
-    if declared is not None:
-        declared = dict(declared)
-        hs_tol = float(declared.pop("hs_tol", 1e-6))
-
     config = _wrap(lambda: SimConfig(model=model, levels=tuple(levels), t_final=t_final,
                                      n_steps=n_steps, m_noise=m_noise, spec=spec,
                                      initial=initial, grid_points=grid_points),
                    "model")
-    return RunSetup(config, functional, n_paths, monitor_rho, declared, hs_tol, out_dir)
+    return RunSetup(config, functional, n_paths, monitor_rho, declared, out_dir)
 
 
 def _wrap(builder, field):
@@ -226,10 +235,6 @@ _COEFFICIENT_FIELDS = ("preset", "kind", "drift", "declared_norms", "alpha", "be
 
 
 def _coefficients(sec: dict) -> CoefficientSpec:
-    declared = sec.get("declared_norms")
-    if declared is not None and not isinstance(declared, dict):
-        raise ConfigError("declared_norms", "coefficients.declared_norms must be an object")
-
     drift = None
     if "drift" in sec:
         drift = compile_expression(_get(sec, "coefficients", "drift", str), "drift")
@@ -246,15 +251,48 @@ def _coefficients(sec: dict) -> CoefficientSpec:
 
     if name == "pointwise":
         b_fn = compile_expression(_get(sec, "coefficients", "b", str), "b")
-        return _wrap(lambda: CoefficientSpec(diffusion="pointwise", drift=drift,
-                                             pointwise_b=b_fn, declared_norms=declared),
-                     "declared_norms")
+        return CoefficientSpec(diffusion="pointwise", drift=drift, pointwise_b=b_fn)
     sigma = _get(sec, "coefficients", "sigma", float, required=False, default=1.0)
     base = preset(name, sigma=sigma)
     alpha = _get(sec, "coefficients", "alpha", float, required=False, default=base.alpha)
     beta = _get(sec, "coefficients", "beta", float, required=False, default=base.beta)
-    return _wrap(lambda: CoefficientSpec(drift=drift, alpha=alpha, beta=beta,
-                                         declared_norms=declared), "declared_norms")
+    return CoefficientSpec(drift=drift, alpha=alpha, beta=beta)
+
+
+# the declared norms: the bound needs every BoundParams field in _DECLARED_BOUND;
+# rho and hs_tol have defaults, the moment envelope's pair has none and comes
+# together or not at all; gamma, beta and rho may be negative
+_DECLARED_BOUND = ("gamma", "beta", "phi_c2b", "f_lip_smooth", "f_lip_rho", "f_lip0",
+                   "b_lip_gamma_op", "b_lip_rho_hs", "b_lip0_hs", "f_second", "b_second")
+_DECLARED_DEFAULTS = {"rho": 0.0, "hs_tol": 1e-6}
+_MOMENT_PAIR = ("moment_f_lip", "moment_b_hs")
+
+
+def _declared_norms(sec: dict) -> dict | None:
+    """coefficients.declared_norms as checked floats, or None when absent.
+
+    The values are taken as given, never estimated or certified; errors
+    other than an unknown key are on field declared_norms and name the key.
+    """
+    if "declared_norms" not in sec:
+        return None
+    raw = _get(sec, "coefficients", "declared_norms", dict)
+    where = "coefficients.declared_norms."
+    _only(raw, where, (*_DECLARED_BOUND, *_DECLARED_DEFAULTS, *_MOMENT_PAIR))
+    declared = dict(_DECLARED_DEFAULTS)
+    for key, val in raw.items():
+        declared[key] = _number(val, "declared_norms", where + key)
+        if declared[key] < 0 and key not in ("gamma", "beta", "rho"):
+            raise ConfigError("declared_norms", f"{where}{key} must be nonnegative, "
+                                                f"got {val}")
+    missing = [key for key in _DECLARED_BOUND if key not in declared]
+    if missing:
+        raise ConfigError("declared_norms",
+                          f"{where}{missing[0]} is required for the bound")
+    if (_MOMENT_PAIR[0] in declared) != (_MOMENT_PAIR[1] in declared):
+        raise ConfigError("declared_norms", f"give {where}moment_f_lip and moment_b_hs "
+                                            "together or not at all")
+    return declared
 
 
 def _functional(sec: dict, n_ref: int) -> mc.TestFunctional:
@@ -302,60 +340,39 @@ def load_bound_params(path: str) -> BoundParams:
     for name in _BOUND_FIELDS:
         if name not in raw:
             raise ConfigError(name, f"missing required field {name}")
-        val = raw[name]
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ConfigError(name, f"{name} must be a number")
-        if not math.isfinite(val):
-            raise ConfigError(name, f"{name} must be finite, got {val}")
-        values[name] = float(val)
+        values[name] = _number(raw[name], name, name)
     return BoundParams(**values)
 
 
-def bound_params_from_declared(setup: RunSetup, lambda_cut: float) -> BoundParams:
-    """Assemble bound inputs from declared norms plus computed model quantities.
+def bound_params_from_declared(setup: RunSetup) -> tuple[partial, ExponentPair]:
+    """The bound's inputs but lambda_cut, from the declared norms, and its exponents.
 
-    Initial-state norms are computed exactly (the initial state is
+    Checks the (gamma, beta) window and sums the Hilbert-Schmidt factor, so a
+    norm set the bound rejects raises ConfigError before any path runs.  The
+    returned partial takes ``lambda_cut`` and gives the BoundParams of one
+    level.  Initial-state norms are computed exactly (the initial state is
     deterministic); the Hilbert-Schmidt factor gets a conservative upper
     estimate folding in the summation tolerance.
     """
-    from .spectral import norm_bold_hr
-
     d = setup.declared
-    if d is None:
-        raise ConfigError("declared_norms", "bound evaluation needs declared norms")
-    for key in ("gamma", "beta"):
-        if key not in d:
-            raise ConfigError(key, f"declared_norms.{key} required for the bound")
-    gamma, beta = float(d["gamma"]), float(d["beta"])
-    rho = float(d.get("rho", 0.0))
+    gamma, beta, hs_tol = d["gamma"], d["beta"], d["hs_tol"]
+    exponents = _wrap(lambda: predicted_exponent(gamma, beta), "declared_norms")
     model = setup.config.model
     initial = setup.config.initial
-    hs = hs_norm_lambda_pow(model.theta, beta, setup.hs_tol)
-    hs_upper = float(np.sqrt(hs * hs + setup.hs_tol**2))
-
-    def need(key):
-        if key not in d:
-            raise ConfigError(key, f"declared_norms.{key} required for the bound")
-        return float(d[key])
-
-    return BoundParams(
+    try:
+        hs = hs_norm_lambda_pow(model.theta, beta, hs_tol)
+    except ValueError as exc:
+        raise ConfigError("declared_norms",
+                          f"declared_norms.beta and hs_tol: {exc}") from None
+    params = partial(
+        BoundParams,
         t_final=setup.config.t_final,
-        phi_c2b=need("phi_c2b"),
-        xi_l2_rho=norm_bold_hr(initial, rho, model),
+        xi_l2_rho=norm_bold_hr(initial, d["rho"], model),
         xi_l1_smooth=norm_bold_hr(initial, 2.0 * (gamma - beta), model),
-        f_lip_smooth=need("f_lip_smooth"),
-        f_lip_rho=need("f_lip_rho"),
-        f_lip0=need("f_lip0"),
-        b_lip_gamma_op=need("b_lip_gamma_op"),
-        b_lip_rho_hs=need("b_lip_rho_hs"),
-        b_lip0_hs=need("b_lip0_hs"),
-        f_second=need("f_second"),
-        b_second=need("b_second"),
-        lambda_pow_hs=hs_upper,
-        lambda_cut=lambda_cut,
-        gamma=gamma,
-        beta=beta,
+        lambda_pow_hs=float(np.sqrt(hs * hs + hs_tol**2)),
+        **{key: d[key] for key in _DECLARED_BOUND},
     )
+    return params, exponents
 
 
 def _load_json(path: str) -> dict:
@@ -364,7 +381,8 @@ def _load_json(path: str) -> dict:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError("config", f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # also an integer longer than int's string limit, or bytes not UTF-8
         raise ConfigError("config", f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config", "config root must be an object")

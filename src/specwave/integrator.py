@@ -38,7 +38,6 @@ __all__ = [
     "BlowUpError",
     "SimConfig",
     "path_seed",
-    "noise_block",
     "step",
 ]
 
@@ -112,16 +111,6 @@ class SimConfig:
 def path_seed(master_seed: int, path_index: int) -> np.random.SeedSequence:
     """Deterministic per-path seed; streams are never shared between paths."""
     return np.random.SeedSequence(int(master_seed), spawn_key=(int(path_index),))
-
-
-def noise_block(seed, n_steps: int, m_noise: int, dt: float) -> np.ndarray:
-    """All Normal(0, dt) increments of one path, shape (n_steps, m_noise).
-
-    Draw order is step-major, identical to drawing one increment per step
-    from the same stream.
-    """
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((n_steps, m_noise)) * np.sqrt(dt)
 
 
 def step(state: PairState, dt: float, dw: np.ndarray, spec: CoefficientSpec,

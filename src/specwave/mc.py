@@ -81,9 +81,6 @@ class TestFunctional:
     bounded: bool
     evaluate_batch: Callable  # (pos (B,N), vel (B,N), model) -> (B,)
 
-    def evaluate(self, state: PairState, model: SpectralModel) -> float:
-        return float(self.evaluate_batch(state.pos[None, :], state.vel[None, :], model)[0])
-
 
 def exp_neg_norm() -> TestFunctional:
     """phi(x) = exp(-||x||^2) at smoothness zero; bounded with two bounded derivatives."""

@@ -37,12 +37,13 @@ def step_loop(config, master_seed, path_index, coarsen=1, observe=None):
     """Terminal states of one path at every level and the reference, by ``step``.
 
     The single-path arithmetic that ``run_chunk`` batches: the path's
-    ``noise_block`` increments, summed over ``coarsen`` consecutive steps,
-    drive each level from the projected initial state.  ``observe(level, k,
-    state)``, if given, sees each level's state at every step k = 0..K.
+    Normal(0, dt) increments, drawn step by step from its own stream and
+    summed over ``coarsen`` consecutive steps, drive each level from the
+    projected initial state.  ``observe(level, k, state)``, if given, sees
+    each level's state at every step k = 0..K.
     """
-    noise = sw.noise_block(sw.path_seed(master_seed, path_index), config.n_steps,
-                           config.m_noise, config.dt)
+    rng = np.random.default_rng(sw.path_seed(master_seed, path_index))
+    noise = rng.standard_normal((config.n_steps, config.m_noise)) * np.sqrt(config.dt)
     noise = noise.reshape(-1, coarsen, config.m_noise).sum(axis=1)
     dt = config.t_final / noise.shape[0]
     out = {}
@@ -58,6 +59,11 @@ def step_loop(config, master_seed, path_index, coarsen=1, observe=None):
     return out
 
 
+def phi_at(phi, state, model):
+    """The functional at one state: ``evaluate_batch`` on a single row."""
+    return float(phi.evaluate_batch(state.pos[None, :], state.vel[None, :], model)[0])
+
+
 def expected_row(states, config, phi):
     """One path's ``run_chunk`` row from its ``step_loop`` states.
 
@@ -65,7 +71,7 @@ def expected_row(states, config, phi):
     gaps of the levels to the reference, in ``run_chunk``'s column order.
     """
     ref = states[config.n_ref]
-    phis = [phi.evaluate(states[level], config.model)
+    phis = [phi_at(phi, states[level], config.model)
             for level in (config.n_ref, *config.levels)]
     gaps = []
     for level in config.levels:

@@ -25,6 +25,8 @@ SEED = 12345
 CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs",
                       "anderson_acceptance.json")
 
+pytestmark = pytest.mark.acceptance
+
 WEAK_SLOPE_WINDOW = (-1.15, -0.75)
 STRONG_SLOPE_WINDOW = (-0.65, -0.35)
 

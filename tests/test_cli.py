@@ -388,9 +388,11 @@ class TestBound:
 
     @pytest.mark.parametrize("key, value", [
         ("phi_c2b", float("nan")), ("lambda_cut", float("inf")), ("gamma", float("nan")),
-    ], ids=["phi_c2b-nan", "lambda_cut-infinity", "gamma-nan"])
+        ("phi_c2b", 10**400),
+    ], ids=["phi_c2b-nan", "lambda_cut-infinity", "gamma-nan", "phi_c2b-huge-integer"])
     def test_non_finite_parameter_exits_two(self, tmp_path, capsys, key, value):
-        # json reads NaN and Infinity; a NaN bound used to print as invalid JSON
+        # json reads NaN and Infinity; a NaN bound used to print as invalid JSON,
+        # and an integer beyond float range ended in OverflowError
         params = json.loads(read(os.path.join(os.path.dirname(__file__), "..",
                                               "configs", "bound_all_ones.json")))
         params[key] = value

@@ -28,28 +28,6 @@ class TestSpecConstruction:
         with pytest.raises(ValueError):
             sw.CoefficientSpec(diffusion="pointwise")
 
-    def test_negative_declared_norm_rejected(self):
-        with pytest.raises(ValueError):
-            sw.CoefficientSpec(beta=0.0, declared_norms={"f_lip0": -1.0})
-
-
-class TestSampleNoise:
-    def test_deterministic(self):
-        a = sw.noise_block(sw.path_seed(5, 0), 4, 8, 0.25)
-        b = sw.noise_block(sw.path_seed(5, 0), 4, 8, 0.25)
-        assert a.shape == (4, 8)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, sw.noise_block(sw.path_seed(5, 1), 4, 8, 0.25))
-
-    def test_variance(self):
-        # chi-square concentration: mean of dw^2/dt over 1e5 draws
-        rng = np.random.default_rng(11)
-        dt = 0.3
-        draws = rng.standard_normal(100_000) * math.sqrt(dt)
-        assert abs(np.mean(draws**2 / dt) - 1.0) < 0.02
-        one = sw.noise_block(sw.path_seed(1, 0), 1, 100_000, dt)
-        assert abs(np.mean(one**2 / dt) - 1.0) < 0.02
-
 
 class TestDrift:
     def test_zero_drift(self, grid32):

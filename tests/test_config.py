@@ -14,6 +14,8 @@ SHIPPED = sorted(name for name in os.listdir(CONFIG_DIR) if name.endswith(".json
 
 with open(os.path.join(CONFIG_DIR, "zero_smoke.json"), encoding="utf-8") as _fh:
     ZERO_SMOKE = json.load(_fh)
+with open(os.path.join(CONFIG_DIR, "anderson_acceptance.json"), encoding="utf-8") as _fh:
+    DECLARED = json.load(_fh)["coefficients"]["declared_norms"]
 
 
 def _write(tmp_path, obj):
@@ -140,10 +142,12 @@ def test_negative_declared_norm_exits_two(tmp_path, capsys, coefficients):
 
 @pytest.mark.parametrize("key, value", [
     ("f_lip0", float("nan")), ("phi_c2b", float("inf")), ("gamma", float("nan")),
-    ("hs_tol", float("-inf")),
-], ids=["f_lip0-nan", "phi_c2b-infinity", "gamma-nan", "hs_tol-minus-infinity"])
+    ("hs_tol", float("-inf")), ("phi_c2b", 10**400),
+], ids=["f_lip0-nan", "phi_c2b-infinity", "gamma-nan", "hs_tol-minus-infinity",
+        "phi_c2b-huge-integer"])
 def test_non_finite_declared_norm_exits_two(tmp_path, capsys, key, value):
-    # NaN < 0 is false, so only a finiteness check catches these
+    # NaN < 0 is false, so only a finiteness check catches these; an integer
+    # beyond float range used to raise OverflowError
     cfg = _write(tmp_path, _with(coefficients={"preset": "anderson",
                                                "declared_norms": {key: value}}))
     with pytest.raises(ConfigError) as err:
@@ -167,12 +171,58 @@ def test_levels_below_one_exit_two(tmp_path, capsys, levels):
     ("model", "initial", {"pos": {"1": float("nan")}, "vel": {}}, "initial.pos"),
     ("time", "t_final", float("inf"), "t_final"),
     ("coefficients", "beta", float("nan"), "beta"),
-], ids=["rho-monitor-nan", "initial-pos-nan", "t-final-infinity", "beta-nan"])
+    ("time", "t_final", 10**400, "t_final"),
+], ids=["rho-monitor-nan", "initial-pos-nan", "t-final-infinity", "beta-nan",
+        "t-final-huge-integer"])
 def test_non_finite_number_exits_two(tmp_path, capsys, section, key, value, field):
-    # json reads the NaN and Infinity literals that json.dumps writes
+    # json reads the NaN and Infinity literals that json.dumps writes, and
+    # integers of any size
     obj = _with(**{section: {**ZERO_SMOKE[section], key: value}})
     if section == "coefficients":
         obj["coefficients"]["preset"] = "anderson"
     cfg = _write(tmp_path, obj)
     assert main(["convergence", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"(field: {field})" in capsys.readouterr().err
+
+
+def _declared(drop=(), **values):
+    """The flagship's declared norms without the keys in drop, with values set."""
+    out = {k: v for k, v in DECLARED.items() if k not in drop}
+    out.update(values)
+    return out
+
+
+@pytest.mark.parametrize("declared, key", [
+    (_declared(drop=("phi_c2b",)), "phi_c2b"),
+    (_declared(phi_c2b=[1]), "phi_c2b"),
+    (_declared(drop=("moment_b_hs",), moment_b_hss=0.5774), "moment_b_hss"),
+    (_declared(drop=("moment_b_hs",)), "moment_f_lip"),
+    (_declared(beta=0.4), "beta"),
+    (_declared(drop=("hs_tol",)), "hs_tol"),
+], ids=["phi_c2b-missing", "phi_c2b-list", "moment_b_hss", "moment_f_lip-alone",
+        "beta-outside-window", "hs_tol-default-at-beta-0.7"])
+def test_declared_norm_fault_exits_before_the_study(tmp_path, capsys, monkeypatch,
+                                                    declared, key):
+    # each of these used to run the whole study before failing, or to pass
+    def no_paths(*args, **kwargs):
+        raise AssertionError("run_chunk called")
+
+    monkeypatch.setattr("specwave.mc.run_chunk", no_paths)
+    cfg = _write(tmp_path, _with(coefficients={"preset": "anderson",
+                                               "declared_norms": declared}))
+    out = tmp_path / "o"
+    assert main(["convergence", "--config", cfg, "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (out / "errors.csv").exists()
+
+
+@pytest.mark.parametrize("text", [
+    b'{"model": 1' + b"0" * 5000 + b"}",
+    b'{"model": "\xff"}',
+], ids=["integer-beyond-string-limit", "not-utf-8"])
+def test_unreadable_json_exits_two(tmp_path, capsys, text):
+    # json raises plain ValueErrors for these, which used to end in a traceback
+    path = tmp_path / "config.json"
+    path.write_bytes(text)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "(field: config)" in capsys.readouterr().err

@@ -11,7 +11,7 @@ from specwave.coefficients import diffusion_vel, drift_vel
 from specwave.integrator import run_chunk
 from specwave.validate import _terminal_states
 
-from conftest import expected_row, small_anderson_config, step_loop, zero_config
+from conftest import expected_row, phi_at, small_anderson_config, step_loop, zero_config
 
 
 class TestStep:
@@ -149,7 +149,8 @@ class TestSimulatePath:
         (pos, vel), = _terminal_states(cfg, (level,), paths, 41)
         k = min(level, m)
         for row, idx in enumerate(paths):
-            dw = sw.noise_block(sw.path_seed(41, idx), 1, m, dt)[0]
+            rng = np.random.default_rng(sw.path_seed(41, idx))
+            dw = rng.standard_normal(m) * np.sqrt(dt)
             kick = np.zeros(level)
             kick[:k] = sigma * dw[:k]
             want = sw.propagate(sw.PairState(np.zeros(level), kick), dt, model)
@@ -185,7 +186,7 @@ class TestSimulateCoupled:
         alone = run_chunk(cfg, (32,), range(2, 4), 9, phi=phi, strong_vs_first=True)
         assert alone["phi"].shape == (2, 1)
         assert alone["strong_sq"].shape == (2, 0)
-        want = phi.evaluate(step_loop(cfg, 9, 3)[32], cfg.model)
+        want = phi_at(phi, step_loop(cfg, 9, 3)[32], cfg.model)
         assert alone["phi"][1, 0] == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_matches_single_paths_bitwise(self):

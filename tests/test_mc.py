@@ -7,26 +7,26 @@ import specwave as sw
 from specwave import mc
 from specwave.integrator import run_chunk
 
-from conftest import expected_row, small_anderson_config, step_loop, zero_config
+from conftest import expected_row, phi_at, small_anderson_config, step_loop, zero_config
 
 
 class TestFunctionals:
     def test_exp_neg_norm_value(self, model8):
         st = sw.PairState([0.6, 0, 0, 0, 0, 0, 0, 0], np.zeros(8))
         phi = sw.exp_neg_norm()
-        assert phi.evaluate(st, model8) == pytest.approx(math.exp(-0.36), rel=1e-12)
+        assert phi_at(phi, st, model8) == pytest.approx(math.exp(-0.36), rel=1e-12)
         assert phi.bounded
 
     def test_cos_pairing_zero_direction_is_one(self, model8):
         phi = sw.cos_pairing(sw.PairState(np.zeros(8), np.zeros(8)))
         rng = np.random.default_rng(0)
         st = sw.PairState(rng.standard_normal(8), rng.standard_normal(8))
-        assert phi.evaluate(st, model8) == 1.0
+        assert phi_at(phi, st, model8) == 1.0
 
     def test_coordinate_reads_mode(self, model8):
         st = sw.PairState([1.0, 2.0, 0, 0, 0, 0, 0, 0], [5.0, 6.0, 0, 0, 0, 0, 0, 0])
-        assert sw.coordinate(2, "pos").evaluate(st, model8) == 2.0
-        assert sw.coordinate(1, "vel").evaluate(st, model8) == 5.0
+        assert phi_at(sw.coordinate(2, "pos"), st, model8) == 2.0
+        assert phi_at(sw.coordinate(1, "vel"), st, model8) == 5.0
         assert not sw.coordinate(1, "vel").bounded
 
     def test_second_differences_bounded(self, model8):
@@ -44,8 +44,8 @@ class TestFunctionals:
                 eps = 1e-4
                 plus = sw.PairState(x.pos + eps * h.pos / hn, x.vel + eps * h.vel / hn)
                 minus = sw.PairState(x.pos - eps * h.pos / hn, x.vel - eps * h.vel / hn)
-                second = (phi.evaluate(plus, model8) - 2 * phi.evaluate(x, model8)
-                          + phi.evaluate(minus, model8)) / eps**2
+                second = (phi_at(phi, plus, model8) - 2 * phi_at(phi, x, model8)
+                          + phi_at(phi, minus, model8)) / eps**2
                 assert abs(second) < 10.0
 
 
@@ -60,8 +60,8 @@ class TestEstimateFunctional:
         cfg = zero_config(initial_pos=[1, 0, 0, 0.5, 0, 0, 0, 0])
         phi = sw.exp_neg_norm()
         mean, se = sw.estimate_functional(phi, cfg, 4, 64, 3)
-        want = phi.evaluate(sw.propagate(sw.project(cfg.initial, 4), 1.0, cfg.model),
-                            cfg.model)
+        want = phi_at(phi, sw.propagate(sw.project(cfg.initial, 4), 1.0, cfg.model),
+                      cfg.model)
         assert mean == pytest.approx(want, rel=1e-12)
         assert se == 0.0
 
