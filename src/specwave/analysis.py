@@ -94,15 +94,11 @@ def theoretical_weak_bound(params: BoundParams) -> float:
     state), an additive factor mixing the smooth drift norm and the
     Hilbert-Schmidt-weighted squared diffusion norm, a curvature factor
     1 v sqrt(T (C_F^2 + 2 C_B^2)), two exponential Gronwall factors, and the
-    spectral-gap power lambda_cut^(beta - gamma).
+    spectral-gap power lambda_cut^(beta - gamma).  Raises ValueError when a
+    hypothesis fails or the value is not a finite float.
     """
     p = params
-    if not p.gamma > 0:
-        raise ValueError(f"hypothesis violated: gamma > 0 required, got {p.gamma}")
-    if not (p.gamma / 2 < p.beta <= p.gamma):
-        raise ValueError(
-            f"hypothesis violated: beta must lie in (gamma/2, gamma], got beta={p.beta}"
-        )
+    expo = predicted_exponent(p.gamma, p.beta)
     if not p.lambda_cut > 0:
         raise ValueError(
             f"hypothesis violated: lambda_cut > 0 required, got {p.lambda_cut}"
@@ -113,14 +109,23 @@ def theoretical_weak_bound(params: BoundParams) -> float:
         if getattr(p, name) < 0:
             raise ValueError(f"hypothesis violated: {name} must be nonnegative")
     t = p.t_final
-    additive = (p.xi_l1_smooth + p.f_lip_smooth
-                + p.lambda_pow_hs**2 * p.b_lip_gamma_op**2)
-    curvature = max(1.0, math.sqrt(t * (p.f_second**2 + 2.0 * p.b_second**2)))
-    grow0 = math.exp(t * (0.5 + 3.0 * p.f_lip0 + 4.0 * p.b_lip0_hs**2))
-    grow_rho = math.exp(t * (2.0 * p.f_lip_rho + p.b_lip_rho_hs**2))
-    return (p.phi_c2b * max(1.0, t) * max(1.0, p.xi_l2_rho**2)
-            * additive * curvature * grow0 * grow_rho
-            * p.lambda_cut ** (p.beta - p.gamma))
+    # ** and exp raise past float range; a product reaches inf or nan quietly
+    try:
+        additive = (p.xi_l1_smooth + p.f_lip_smooth
+                    + p.lambda_pow_hs**2 * p.b_lip_gamma_op**2)
+        curvature = max(1.0, math.sqrt(t * (p.f_second**2 + 2.0 * p.b_second**2)))
+        grow0 = math.exp(t * (0.5 + 3.0 * p.f_lip0 + 4.0 * p.b_lip0_hs**2))
+        grow_rho = math.exp(t * (2.0 * p.f_lip_rho + p.b_lip_rho_hs**2))
+        value = (p.phi_c2b * max(1.0, t) * max(1.0, p.xi_l2_rho**2)
+                 * additive * curvature * grow0 * grow_rho
+                 * p.lambda_cut ** expo.lambda_exponent)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError("the bound is not a finite float: a Gronwall factor (t_final, "
+                         "f_lip0, b_lip0_hs, f_lip_rho, b_lip_rho_hs) or the product "
+                         "of all factors overflows")
+    return value
 
 
 class ExponentPair(NamedTuple):

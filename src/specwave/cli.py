@@ -131,12 +131,15 @@ def cmd_convergence(args) -> int:
         raise ConfigError("workers", f"need at least 1 worker, got {args.workers}")
     bounds = None
     if setup.declared is not None:
-        # every bound input but lambda_cut is checked and formed once, before
-        # the first path runs
+        # every bound input but lambda_cut is checked and formed once, and the
+        # bound evaluated at every level, before the first path runs
         params, expo = bound_params_from_declared(setup)
-        bounds = [theoretical_weak_bound(params(
-            lambda_cut=float(cfg.model.theta * np.pi**2 * (level + 1) ** 2)))
-            for level in cfg.levels]
+        try:
+            bounds = [theoretical_weak_bound(params(
+                lambda_cut=float(cfg.model.theta * np.pi**2 * (level + 1) ** 2)))
+                for level in cfg.levels]
+        except ValueError as exc:
+            raise ConfigError("declared_norms", str(exc)) from None
     out_dir = args.out or setup.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
 

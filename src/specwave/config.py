@@ -12,6 +12,7 @@ validate node by node.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import hashlib
 import json
 import math
@@ -203,8 +204,10 @@ def load_config(path: str) -> RunSetup:
     if not isinstance(levels, list) or not all(
             isinstance(n, int) and not isinstance(n, bool) for n in levels):
         raise ConfigError("levels", "study.levels must be a list of integers")
-    if any(n < 1 for n in levels):
-        raise ConfigError("levels", f"study.levels must be at least 1, got {levels}")
+    # 0 < first < ... < last < n_ref, checked here so the message names levels
+    if any(b <= a for a, b in zip((0, *levels), (*levels, n_ref))):
+        raise ConfigError("levels", f"study.levels must be at least 1, strictly ascending "
+                                    f"and below model.n_ref={n_ref}, got {levels}")
     n_paths = _get(study_sec, "study", "n_paths", int, required=False, default=1000)
     monitor_rho = _get(study_sec, "study", "rho_monitor", float, required=False, default=0.0)
     functional = _functional(study_sec.get("functional", {"kind": "exp_neg_norm"}), n_ref)
@@ -323,21 +326,13 @@ def _functional(sec: dict, n_ref: int) -> mc.TestFunctional:
     raise ConfigError("functional", f"unknown functional kind {kind!r}")
 
 
-_BOUND_FIELDS = {
-    "t_final", "phi_c2b", "xi_l2_rho", "xi_l1_smooth", "f_lip_smooth",
-    "f_lip_rho", "f_lip0", "b_lip_gamma_op", "b_lip_rho_hs", "b_lip0_hs",
-    "f_second", "b_second", "lambda_pow_hs", "lambda_cut", "gamma", "beta",
-}
-
-
 def load_bound_params(path: str) -> BoundParams:
-    """Read the explicit-bound inputs from a flat JSON object."""
+    """Read every BoundParams field, in field order, from a flat JSON object."""
     raw = _load_json(path)
-    unknown = set(raw) - _BOUND_FIELDS
-    if unknown:
-        raise ConfigError(sorted(unknown)[0], "unknown bound parameter")
+    names = [f.name for f in dataclasses.fields(BoundParams)]
+    _only(raw, "", names)
     values = {}
-    for name in _BOUND_FIELDS:
+    for name in names:
         if name not in raw:
             raise ConfigError(name, f"missing required field {name}")
         values[name] = _number(raw[name], name, name)

@@ -68,10 +68,9 @@ class SimConfig:
     m_noise: int
     spec: CoefficientSpec
     initial: PairState
-    # an Anderson level L with 2L < grid_points runs its product on its own
-    # 2L-point grid; grid_points sets the grid of the other Anderson levels
-    # (the flagship's reference), of pointwise and drift fields, and of every
-    # level when a drift is set.  0 selects the default 4 * max(n_ref, m_noise)
+    # the quadrature grid of pointwise and drift fields; an Anderson product
+    # runs on a grid sized by its level and m_noise alone.  0 selects the
+    # default 4 * max(n_ref, m_noise)
     grid_points: int = 0
     grid: GridWorkspace = field(init=False, repr=False, compare=False)
 
@@ -91,9 +90,7 @@ class SimConfig:
         if self.initial.n_modes != self.model.n_modes:
             raise ValueError("initial state must be given at reference resolution")
         g = self.grid_points or 4 * max(self.model.n_modes, self.m_noise)
-        product = self.spec.diffusion == "anderson" and self.spec.beta != 0.0
-        need = (self.model.n_modes + self.m_noise if product
-                else max(self.model.n_modes, self.m_noise))
+        need = max(self.model.n_modes, self.m_noise)
         if g < need:
             raise ValueError(f"grid_points={g} too coarse, need at least {need}")
         object.__setattr__(self, "grid_points", int(g))
@@ -153,13 +150,18 @@ def step(state: PairState, dt: float, dw: np.ndarray, spec: CoefficientSpec,
 # see.  So each level-step synthesizes O_v and E_v on the left half of the
 # nodes (the centre node of an odd grid included, where E vanishes) and
 # projects 2A onto the odd and 2B onto the even modes: three pairs of
-# half-size GEMMs in place of three full ones (the noise pair is shared by
-# the levels on one grid).  The tables are strided views of
-# ``_engine_tables`` and ``_own_grid_tables``, taken per call.  The node
+# half-size GEMMs in place of three full ones.  The tables are strided views
+# of ``_engine_tables`` and ``_own_grid_tables``, taken per call.  The node
 # weights, 2 for a node and its mirror and 1 for the centre, are folded into
 # the noise values.
 #
-# The noise values do not depend on the state, so one GEMM pair per grid
+# Each Anderson level L picks its grid by L against m_noise alone: below
+# m_noise, its own grid of 2L interior nodes (``_own_grid_tables``); from
+# m_noise on, the closed grid of L + m_noise nodes (``_engine_tables``), whose
+# first m_noise synthesis rows give the noise values.  Both resolve the
+# product exactly, so neither grid_points nor a drift moves it.
+#
+# The noise values do not depend on the state, so one GEMM pair per level
 # forms them for a span of steps of the current burst at once: the span's
 # increments, stacked as (span * paths, modes / 2), meet the same map, and
 # each level-step reads its step's rows.  The span is sized from the block's
@@ -168,12 +170,9 @@ def step(state: PairState, dt: float, dw: np.ndarray, spec: CoefficientSpec,
 # 512-path block with m_noise > 32 keeps one step per span; a single path
 # on the flagship takes 128.
 #
-# An Anderson level L with 2L < grid_points runs its product on its own grid
-# of 2L interior nodes (``_own_grid_tables``); ``grid_points`` sets the grid
-# of the other Anderson levels (the flagship's reference), of pointwise and
-# drift fields, and of every level when a drift is set.  Pointwise b(x, v) dW
-# and the drift f(x, v) read the position synthesized on the full config
-# grid and are analyzed with the transposed synthesis table (the discrete
+# Pointwise b(x, v) dW and the drift f(x, v) read the position synthesized
+# on the config grid of grid_points nodes, the only use of that grid, and
+# are analyzed with the transposed synthesis table (the discrete
 # sine transform restricted to the level's modes).  Semantics are those of a
 # loop of ``step`` per path and level under the path's increments; terminal
 # states agree with that loop to floating-point reassociation (~1e-15), which
@@ -287,15 +286,10 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
     # the affine coefficient (alpha + beta v) dW of the anderson kind
     alpha, beta = (0.0, 0.0) if pointwise else (spec.alpha, spec.beta)
     g = grid.n_points
-    # an Anderson level with 2L < g forms its product on its own 2L-point
-    # grid; a drift needs the position on the config grid at every level
-    product = beta != 0.0
-    own = [level for level in levels if 2 * level < g] if product and drift is None else []
-    on_grid = [level for level in levels if level not in own] if product else []
     # pointwise and drift fields read the position on the full config grid
     dense = pointwise or drift is not None
-    if dense or on_grid:
-        synth, proj = _engine_tables(max(model.n_modes, config.m_noise), g)
+    if dense:
+        synth = _engine_tables(max(model.n_modes, config.m_noise), g)[0]
 
     states = {}
     tables = {}
@@ -316,26 +310,26 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
         u = np.empty((b, g))
         w_vals = np.empty((b, g)) if pointwise else None
         bw = np.empty((b, g)) if pointwise else None
-    # per Anderson level: its grid's noise values and its mirror halves
-    # (``_mirror_halves``); per grid: the odd- and even-mode noise maps and
-    # the weighted noise values (odd/even, step of the span, path, node), one
-    # GEMM pair per span for all the grid's levels.  Each own grid keeps its
-    # own pair: in one GEMM over all of them, BLAS may sum a level's columns
-    # in an order that depends on the other levels
+    # per Anderson level: its grid's weighted noise values (odd/even, step of
+    # the span, path, node), formed by one GEMM pair per span, and its mirror
+    # halves (``_mirror_halves``).  Each level keeps its own pair: in one GEMM
+    # over several grids, BLAS may sum a level's columns in an order that
+    # depends on the other levels
     span = max(1, _NOISE_SPAN_BYTES // (8 * b * m))
     halves = {}
     noise_maps = []
-    if on_grid:
-        h = (g + 1) // 2
-        w_grid = np.empty((2, span, b, h))
-        noise_maps.append((synth[0:m:2, :h], synth[1:m:2, :h], w_grid))
-        for level in on_grid:
-            halves[level] = (w_grid, _mirror_halves(synth, proj, level, h, b))
-    for level in own:
-        s_own, noise, a_own = _own_grid_tables(level, m)
-        w_own = np.empty((2, span, b, level))
-        noise_maps.append((noise[0::2, :level], noise[1::2, :level], w_own))
-        halves[level] = (w_own, _mirror_halves(s_own, a_own, level, level, b))
+    for level in levels if beta != 0.0 else ():
+        if level < m:
+            s_grid, noise, a_grid = _own_grid_tables(level, m)
+            nodes = 2 * level
+        else:
+            s_grid, a_grid = _engine_tables(level, level + m)
+            noise, nodes = s_grid[:m], level + m
+        h = (nodes + 1) // 2
+        w = np.empty((2, span, b, h))
+        # an odd grid's centre node is its own mirror
+        noise_maps.append((noise[0::2, :h], noise[1::2, :h], w, nodes % 2))
+        halves[level] = (w, _mirror_halves(s_grid, a_grid, level, h, b))
     if halves:
         dw_odd, dw_even = np.empty((span, b, (m + 1) // 2)), np.empty((span, b, m // 2))
 
@@ -374,11 +368,11 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
                 np.multiply(rows[:, :, 1::2], 2.0, out=dw_even[:n])
                 odd_in = dw_odd[:n].reshape(n * b, -1)
                 even_in = dw_even[:n].reshape(n * b, -1)
-                for map_odd, map_even, w in noise_maps:
+                for map_odd, map_even, w, centre in noise_maps:
                     np.matmul(odd_in, map_odd, out=w[0, :n].reshape(n * b, -1))
                     np.matmul(even_in, map_even, out=w[1, :n].reshape(n * b, -1))
-                if on_grid and g % 2:
-                    w_grid[:, :n, :, -1] *= 0.5  # the centre node is its own mirror
+                    if centre:
+                        w[:, :n, :, -1] *= 0.5
             for i, level in enumerate(levels):
                 pos, vel = states[level]
                 new_pos, new_vel, tmp = scratch[level]

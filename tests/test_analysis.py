@@ -95,6 +95,19 @@ class TestWeakBound:
         with pytest.raises(ValueError, match="b_lip0_hs"):
             sw.theoretical_weak_bound(params(b_lip0_hs=-0.1))
 
+    @pytest.mark.parametrize("overrides", [
+        {"b_lip0_hs": 14.0},
+        {"b_lip_rho_hs": 1e200},
+        {"phi_c2b": 1e300, "xi_l1_smooth": 1e10},
+        {"phi_c2b": 1e300, "xi_l2_rho": 1e100, "xi_l1_smooth": 0.0, "f_lip_smooth": 0.0,
+         "lambda_pow_hs": 0.0},
+    ], ids=["exp-overflows", "power-overflows", "product-overflows", "inf-times-zero"])
+    def test_non_finite_value_raises(self, overrides):
+        # exp and ** raise OverflowError; a product of finite factors reaches
+        # inf, or nan, quietly, which report.json would write as Infinity
+        with pytest.raises(ValueError, match="not a finite float"):
+            sw.theoretical_weak_bound(params(**overrides))
+
 
 class TestPredictedExponent:
     def test_anderson_limit(self):

@@ -402,6 +402,36 @@ class TestBound:
         assert f"(field: {key})" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("overrides", [
+        {"b_lip0_hs": 14}, {"phi_c2b": 1e300, "xi_l1_smooth": 1e10},
+    ], ids=["b_lip0_hs-exp", "phi_c2b-product"])
+    def test_overflowing_bound_exits_two(self, tmp_path, capsys, overrides):
+        # b_lip0_hs 14 used to end in math.exp's OverflowError; a product that
+        # overflows quietly would print Infinity, which is not JSON
+        params = json.loads(read(os.path.join(os.path.dirname(__file__), "..",
+                                              "configs", "bound_all_ones.json")))
+        params.update(overrides)
+        cfg = write_config(tmp_path, params, "bound.json")
+        assert main(["bound", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "b_lip0_hs" in captured.err and "(field: params)" in captured.err
+        assert captured.out == ""
+
+    def test_first_missing_field_in_field_order(self, tmp_path):
+        # the fields used to be checked in set order, which follows the hash seed
+        params = json.loads(read(os.path.join(os.path.dirname(__file__), "..",
+                                              "configs", "bound_all_ones.json")))
+        for key in ("t_final", "gamma", "phi_c2b"):
+            del params[key]
+        cfg = write_config(tmp_path, params, "bound.json")
+        for seed in ("1", "2"):
+            env = {**env_without_blas_setting(), "PYTHONHASHSEED": seed}
+            done = subprocess.run([sys.executable, "-m", "specwave.cli", "bound",
+                                   "--config", cfg], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert done.returncode == 2
+            assert done.stderr.strip().endswith("(field: t_final)"), (seed, done.stderr)
+
     def test_missing_field_named(self, tmp_path, capsys):
         params = json.loads(read(os.path.join(os.path.dirname(__file__), "..",
                                               "configs", "bound_all_ones.json")))

@@ -166,6 +166,21 @@ def test_levels_below_one_exit_two(tmp_path, capsys, levels):
     assert "(field: levels)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("levels", [[2, 4, 8], [4, 2, 6]],
+                         ids=["reaching-n_ref", "not-ascending"])
+def test_levels_out_of_order_or_reaching_reference_exit_two(tmp_path, capsys,
+                                                             monkeypatch, levels):
+    # the first used to end in run_study's ValueError (exit 1), the second
+    # exited 2 tagged (field: model)
+    def no_paths(*args, **kwargs):
+        raise AssertionError("run_chunk called")
+
+    monkeypatch.setattr("specwave.mc.run_chunk", no_paths)
+    cfg = _write(tmp_path, _with(study={**ZERO_SMOKE["study"], "levels": levels}))
+    assert main(["convergence", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "(field: levels)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("section, key, value, field", [
     ("study", "rho_monitor", float("nan"), "rho_monitor"),
     ("model", "initial", {"pos": {"1": float("nan")}, "vel": {}}, "initial.pos"),
@@ -199,8 +214,9 @@ def _declared(drop=(), **values):
     (_declared(drop=("moment_b_hs",)), "moment_f_lip"),
     (_declared(beta=0.4), "beta"),
     (_declared(drop=("hs_tol",)), "hs_tol"),
+    (_declared(b_lip0_hs=14), "b_lip0_hs"),
 ], ids=["phi_c2b-missing", "phi_c2b-list", "moment_b_hss", "moment_f_lip-alone",
-        "beta-outside-window", "hs_tol-default-at-beta-0.7"])
+        "beta-outside-window", "hs_tol-default-at-beta-0.7", "b_lip0_hs-overflow"])
 def test_declared_norm_fault_exits_before_the_study(tmp_path, capsys, monkeypatch,
                                                     declared, key):
     # each of these used to run the whole study before failing, or to pass

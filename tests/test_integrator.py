@@ -92,27 +92,28 @@ class TestSimConfig:
                            initial=sw.PairState(np.zeros(8), np.zeros(8)))
         assert cfg.grid_points == 64  # 4 * max(n_ref, m_noise)
 
-    @pytest.mark.parametrize("spec, rejected", [
-        (sw.preset("anderson"), True),
-        (sw.CoefficientSpec(alpha=0.5, beta=0.5), True),
-        (sw.preset("zero"), False),
-        (sw.preset("additive-heat-kick", sigma=0.5), False),
+    @pytest.mark.parametrize("spec", [
+        sw.preset("anderson"),
+        sw.CoefficientSpec(alpha=0.5, beta=0.5),
+        sw.preset("zero"),
+        sw.preset("additive-heat-kick", sigma=0.5),
     ], ids=["anderson", "affine", "zero", "additive-heat-kick"])
-    def test_coarse_grid_rejected_for_products(self, model8, spec, rejected):
-        # 16 points = max(n_ref, m_noise) serve unless beta != 0 needs n_ref + m_noise
-        def build():
+    def test_coarse_grid_serves_every_kind(self, model8, spec):
+        # one rule for every kind: grid_points >= max(n_ref, m_noise) = 16; a
+        # product runs on a grid of its own, so 16 points give the bytes of 64
+        def build(grid_points):
             return sw.SimConfig(model=model8, levels=(2,), t_final=1.0, n_steps=4,
                                 m_noise=16, spec=spec,
                                 initial=sw.PairState(np.ones(8), np.zeros(8)),
-                                grid_points=16)
+                                grid_points=grid_points)
 
-        if rejected:
-            with pytest.raises(ValueError, match="grid_points"):
-                build()
-        else:
-            cfg = build()
-            assert cfg.grid_points == 16
-            run_chunk(cfg, (8, 2), range(2), 3)
+        with pytest.raises(ValueError, match="grid_points"):
+            build(15)
+        phi = sw.exp_neg_norm()
+        coarse, wide = (run_chunk(build(g), (8, 2), range(2), 3, phi=phi,
+                                  strong_vs_first=True) for g in (16, 64))
+        assert np.array_equal(coarse["phi"], wide["phi"])
+        assert np.array_equal(coarse["strong_sq"], wide["strong_sq"])
 
 
 class TestSimulatePath:
@@ -257,10 +258,12 @@ class TestBatchMatchesSingle:
 
 
 class TestOwnGrid:
-    """Anderson levels with 2L < grid_points form their product on 2L nodes.
+    """Each Anderson level forms its product on a grid sized by L and m_noise.
 
-    Every Anderson product, on its own grid or on the config grid, is formed
-    from odd and even modes on the left half of the grid's nodes.
+    A level L < m_noise runs on its own 2L nodes, any other on the closed
+    grid of L + m_noise nodes ("the grid" in the case ids below); grid_points
+    plays no part.  Either way the product is formed from odd and even modes
+    on the left half of the grid's nodes.
     """
 
     @staticmethod
@@ -275,21 +278,26 @@ class TestOwnGrid:
 
     @pytest.mark.parametrize("n_ref, m_noise, grid_points, levels, spec", [
         (8, 64, 0, (2,), sw.preset("anderson")),
+        # L = m_noise - 1, m_noise and m_noise + 1: 30 own nodes, then the
+        # closed grids of 32 and 33 nodes, the last with a centre node that
+        # is its own mirror
         (16, 16, 32, (15,), sw.preset("anderson")),
         (16, 16, 32, (16,), sw.preset("anderson")),
-        # 8, 9 and 10 on a 15-point grid, whose centre node is its own
-        # mirror; 2 and 7 on their own grids; an odd noise count
+        (17, 16, 33, (17,), sw.preset("anderson")),
+        # 7, 8, 9 and 10 on 12 to 15 nodes, two of them odd; 2 on its own 4;
+        # an odd noise count
         (10, 5, 15, (2, 7, 8, 9, 10), sw.preset("anderson")),
-        # 9 on an even grid; an even noise count
+        # 3 on its own 6, 8 on 16 and 9 on 17; an even noise count
         (9, 8, 18, (3, 8, 9), sw.preset("anderson")),
         (10, 6, 17, (5, 9, 10), sw.CoefficientSpec(alpha=0.3, beta=0.7)),
-        # a drift puts every level on the config grid, here an odd one
+        # a drift moves no product (1 and 4 on their own grids, 9 on 16
+        # nodes) and reads the odd config grid
         (9, 7, 17, (1, 4, 9), sw.CoefficientSpec(alpha=0.2, beta=1.0, drift=_tanh_drift)),
         # no even noise mode, and a level with no even mode
         (3, 1, 5, (1, 3), sw.preset("anderson")),
     ], ids=["noise-modes-far-above-level", "just-inside-2L-below-grid",
-            "just-outside-2L-equals-grid", "odd-grid", "even-grid", "affine",
-            "anderson-drift", "single-modes"])
+            "just-outside-2L-equals-grid", "2L-above-grid", "odd-grid", "even-grid",
+            "affine", "anderson-drift", "single-modes"])
     def test_matches_step_loop(self, n_ref, m_noise, grid_points, levels, spec):
         cfg = self._config(n_ref, m_noise, grid_points, levels, spec)
         paths = range(2, 5)
@@ -301,13 +309,30 @@ class TestOwnGrid:
                 assert np.max(np.abs(vel[row] - want[level].vel)) < 1e-12, level
 
     def test_reference_keeps_its_bytes(self):
-        # the flagship's geometry scaled down: 2 n_ref = grid_points, so the
-        # reference stays on the config grid and every study level leaves it
+        # the flagship's geometry scaled down: n_ref = m_noise, so the
+        # reference runs on the closed grid of 2 n_ref nodes and every study
+        # level on its own
         cfg = self._config(16, 16, 32, (2, 4, 8))
         phi = sw.exp_neg_norm()
         alone = run_chunk(cfg, (cfg.n_ref,), range(5), 29, phi=phi)
         coupled = run_chunk(cfg, (cfg.n_ref, *cfg.levels), range(5), 29, phi=phi)
         assert np.array_equal(alone["phi"][:, 0], coupled["phi"][:, 0])
+
+    @pytest.mark.parametrize("spec", [
+        sw.preset("anderson"), sw.CoefficientSpec(alpha=0.3, beta=0.7),
+    ], ids=["anderson", "affine"])
+    def test_grid_points_leave_the_bytes(self, spec):
+        # levels below, at and above m_noise = 12 and the reference on 28
+        # nodes; grid_points n_ref + m_noise, an odd value above it, the
+        # default 64 and one below n_ref + m_noise
+        phi = sw.exp_neg_norm()
+        outs = [run_chunk(cfg, (cfg.n_ref, *cfg.levels), range(3), 43, phi=phi,
+                          strong_vs_first=True)
+                for cfg in (self._config(16, 12, g, (4, 12, 14), spec)
+                            for g in (28, 31, 0, 20))]
+        for out in outs[1:]:
+            assert np.array_equal(out["phi"], outs[0]["phi"])
+            assert np.array_equal(out["strong_sq"], outs[0]["strong_sq"])
 
 
 class TestNoiseSpans:
