@@ -27,7 +27,7 @@ from .config import (ConfigError, bound_params_from_declared, config_digest,
 from .integrator import BlowUpError, SimConfig
 from .integrator import step  # noqa: F401  perfbench/tracing.py counts specwave.cli.step
 from .mc import run_study
-from .spectral import _weighted_norm, norm_bold_hr
+from .spectral import norm_bold_hr, pair_norm_sq, pair_weights
 
 DEFAULT_SEED = 12345
 # simulate reduces its norm rows this many steps at a time
@@ -69,6 +69,12 @@ def _write_manifest(out_dir: str, config_path: str, seed: int, cfg: SimConfig,
     })
 
 
+def _rate_block(errors, stderr, fit) -> dict:
+    """report.json's block of one error kind: per-level errors and their rate fit."""
+    return {"errors": [float(v) for v in errors], "stderr": [float(v) for v in stderr],
+            "slope": fit.slope, "intercept": fit.intercept, "r_squared": fit.r_squared}
+
+
 def cmd_simulate(args) -> int:
     setup = load_config(args.config)
     cfg = setup.config
@@ -79,10 +85,8 @@ def cmd_simulate(args) -> int:
     rho = setup.monitor_rho
     # the weights of norm_bold_hr at r = 0 and r = rho, formed once; at rho = 0
     # both norms are the same number
-    al = cfg.model.abs_lam(cfg.n_ref)
-    with np.errstate(over="ignore"):
-        w_0 = (al**0.0, al**-1.0)
-        w_rho = (al**rho, al ** (rho - 1.0))
+    w_0 = pair_weights(cfg.model, cfg.n_ref, 0.0)
+    w_rho = pair_weights(cfg.model, cfg.n_ref, rho)
     # path 0's (pos, vel) rows are kept _NORM_ROWS steps at a time and their
     # norms reduced a block at once; the last row is the terminal state
     k_last = cfg.n_steps
@@ -95,9 +99,10 @@ def cmd_simulate(args) -> int:
         rows[1, r] = vel[0]
         if r == _NORM_ROWS - 1 or k == k_last:
             block = slice(k - r, k + 1)
-            norms[0, block] = _weighted_norm(rows[0, :r + 1], rows[1, :r + 1], *w_0)
+            done = rows[:, :r + 1]
+            norms[0, block] = np.sqrt(pair_norm_sq(*done, *w_0))
             norms[1, block] = (norms[0, block] if rho == 0.0 else
-                               _weighted_norm(rows[0, :r + 1], rows[1, :r + 1], *w_rho))
+                               np.sqrt(pair_norm_sq(*done, *w_rho)))
 
     # the one simulated path is path 0 at the reference level, on one BLAS
     # thread as in studies; looked up at call time so that a tracer patched
@@ -177,43 +182,32 @@ def cmd_convergence(args) -> int:
     else:
         note += (f"the reference drops noise modes {cfg.n_ref + 1}..{cfg.m_noise}, "
                  "which the untruncated limit keeps")
+    phi = setup.functional
     out = {
-        "reference_level": report.reference_level,
+        "reference_level": cfg.n_ref,
         "reference_carries_noise": carries_noise,
         "reference_note": note,
         "master_seed": seed,
         "n_paths": table.n_paths,
         "levels": list(table.levels),
-        "functional": {"kind": report.functional_kind,
-                       "bounded": report.functional_bounded,
-                       "note": (None if report.functional_bounded else
+        "functional": {"kind": phi.kind, "bounded": phi.bounded,
+                       "note": (None if phi.bounded else
                                 "outside the bounded-smooth hypotheses of the theory")},
-        "weak": {
-            "errors": [float(v) for v in table.weak_error],
-            "stderr": [float(v) for v in table.weak_stderr],
-            "slope": weak_fit.slope,
-            "intercept": weak_fit.intercept,
-            "r_squared": weak_fit.r_squared,
-        },
-        "strong": {
-            "errors": [float(v) for v in table.strong_error],
-            "stderr": [float(v) for v in table.strong_stderr],
-            "slope": strong_fit.slope,
-            "intercept": strong_fit.intercept,
-            "r_squared": strong_fit.r_squared,
-        },
+        "weak": _rate_block(table.weak_error, table.weak_stderr, weak_fit),
+        "strong": _rate_block(table.strong_error, table.strong_stderr, strong_fit),
     }
 
     if report.moment_mean is not None:
+        # each level's sup over the time grid of the mean square, and its stderr
+        rows = np.arange(report.moment_mean.shape[0])
         sup_idx = report.moment_mean.argmax(axis=1)
-        levels_all = [report.reference_level, *table.levels]
+        sup_mean = report.moment_mean[rows, sup_idx]
+        sup_se = report.moment_stderr[rows, sup_idx]
         out["moment_monitor"] = {
-            "rho": report.monitor_rho,
-            "levels": levels_all,
-            "sup_mean_square": [float(report.moment_mean[i, k])
-                                for i, k in enumerate(sup_idx)],
-            "sup_stderr": [float(report.moment_stderr[i, k])
-                           for i, k in enumerate(sup_idx)],
+            "rho": setup.monitor_rho,
+            "levels": [cfg.n_ref, *table.levels],
+            "sup_mean_square": [float(v) for v in sup_mean],
+            "sup_stderr": [float(v) for v in sup_se],
         }
 
     if bounds is not None:
@@ -230,12 +224,10 @@ def cmd_convergence(args) -> int:
             "dominates_measured": satisfied,
         }
         if "moment_f_lip" in d and report.moment_mean is not None:
-            env = max(1.0, norm_bold_hr(cfg.initial, report.monitor_rho, cfg.model)) \
+            env = max(1.0, norm_bold_hr(cfg.initial, setup.monitor_rho, cfg.model)) \
                 * float(np.exp(cfg.t_final * (d["moment_f_lip"]
                                               + 0.5 * d["moment_b_hs"] ** 2)))
-            sup_idx = report.moment_mean.argmax(axis=1)
-            sups = np.sqrt(report.moment_mean[np.arange(len(sup_idx)), sup_idx])
-            sup_se = report.moment_stderr[np.arange(len(sup_idx)), sup_idx]
+            sups = np.sqrt(sup_mean)
             # 3-stderr slack on the mean square, mapped through the square root
             slack = 3.0 * sup_se / (2.0 * np.maximum(sups, 1e-300))
             ok = bool(np.all(np.maximum(1.0, sups - slack) <= env))

@@ -137,8 +137,6 @@ def _get(sec: dict, section: str, key: str, kind, required: bool = True, default
         return int(val)
     if kind is str and isinstance(val, str):
         return val
-    if kind is list and isinstance(val, list):
-        return val
     if kind is dict and isinstance(val, dict):
         return val
     raise ConfigError(key, f"{section}.{key} must be of type {kind.__name__}")
@@ -178,6 +176,8 @@ def load_config(path: str) -> RunSetup:
     model_sec = _section(raw, "model", ("theta", "n_ref", "grid_points", "initial"))
     theta = _get(model_sec, "model", "theta", float)
     n_ref = _get(model_sec, "model", "n_ref", int)
+    if n_ref < 1:
+        raise ConfigError("n_ref", f"model.n_ref must be at least 1, got {n_ref}")
     grid_points = _get(model_sec, "model", "grid_points", int, required=False, default=0)
     model = _wrap(lambda: build_model(theta, n_ref), "theta")
     initial_sec = _get(model_sec, "model", "initial", dict, required=False,
@@ -189,10 +189,20 @@ def load_config(path: str) -> RunSetup:
 
     time_sec = _section(raw, "time", ("t_final", "n_steps"))
     t_final = _get(time_sec, "time", "t_final", float)
+    if not t_final > 0:
+        raise ConfigError("t_final", f"time.t_final must be positive, got {t_final}")
     n_steps = _get(time_sec, "time", "n_steps", int)
+    if n_steps < 1:
+        raise ConfigError("n_steps", f"time.n_steps must be at least 1, got {n_steps}")
 
     noise_sec = _section(raw, "noise", ("m_noise",))
     m_noise = _get(noise_sec, "noise", "m_noise", int)
+    if m_noise < 1:
+        raise ConfigError("m_noise", f"noise.m_noise must be at least 1, got {m_noise}")
+    need = max(n_ref, m_noise)
+    if grid_points != 0 and grid_points < need:
+        raise ConfigError("grid_points", f"model.grid_points must be 0 (the default) or at "
+                                         f"least max(n_ref, m_noise)={need}, got {grid_points}")
 
     coefficients_sec = _section(raw, "coefficients", _COEFFICIENT_FIELDS)
     spec = _coefficients(coefficients_sec)
@@ -215,10 +225,9 @@ def load_config(path: str) -> RunSetup:
     out_sec = _section(raw, "output", ("directory",), required=False)
     out_dir = _get(out_sec, "output", "directory", str, required=False)
 
-    config = _wrap(lambda: SimConfig(model=model, levels=tuple(levels), t_final=t_final,
-                                     n_steps=n_steps, m_noise=m_noise, spec=spec,
-                                     initial=initial, grid_points=grid_points),
-                   "model")
+    # every input SimConfig checks was checked above, under its own key
+    config = SimConfig(model=model, levels=tuple(levels), t_final=t_final, n_steps=n_steps,
+                       m_noise=m_noise, spec=spec, initial=initial, grid_points=grid_points)
     return RunSetup(config, functional, n_paths, monitor_rho, declared, out_dir)
 
 

@@ -32,7 +32,7 @@ import numpy.random  # noqa: F401
 from .coefficients import CoefficientSpec, diffusion_vel, drift_vel
 from .propagator import propagate_arrays, rotation_tables
 from .spectral import (GridWorkspace, PairState, SpectralModel, _cos_sine_inner, _dct1,
-                       _sine_from_cos_matrix)
+                       _sine_from_cos_matrix, pair_norm_sq, pair_weights)
 
 __all__ = [
     "BlowUpError",
@@ -289,7 +289,7 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
     # pointwise and drift fields read the position on the full config grid
     dense = pointwise or drift is not None
     if dense:
-        synth = _engine_tables(max(model.n_modes, config.m_noise), g)[0]
+        synth = _sine_synthesis(max(model.n_modes, m), g + 1)
 
     states = {}
     tables = {}
@@ -439,7 +439,7 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
     if strong_vs_first:
         ref_level = levels[0]
         ref_pos, ref_vel = states[ref_level]
-        inv_lam = 1.0 / model.abs_lam(ref_level)
+        weights = pair_weights(model, ref_level, 0.0)
         gaps = np.empty((b, len(levels) - 1))
         for j, level in enumerate(levels[1:]):
             pos, vel = states[level]
@@ -447,7 +447,7 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
             dp[:, :level] -= pos
             dv = ref_vel.copy()
             dv[:, :level] -= vel
-            gaps[:, j] = (dp * dp).sum(axis=1) + (dv * dv * inv_lam).sum(axis=1)
+            gaps[:, j] = pair_norm_sq(dp, dv, *weights)
         out["strong_sq"] = gaps
     return out
 

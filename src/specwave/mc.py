@@ -45,7 +45,7 @@ import numpy as np
 
 from . import integrator
 from .integrator import SimConfig, run_chunk
-from .spectral import PairState, SpectralModel
+from .spectral import PairState, pair_norm_sq, pair_weights
 
 __all__ = [
     "CHUNK_PATHS",
@@ -61,11 +61,6 @@ __all__ = [
 
 # fixed block size; part of the determinism contract, do not derive from workers
 CHUNK_PATHS = 512
-
-
-def _h0_sq(pos, vel, model: SpectralModel):
-    inv_lam = 1.0 / model.abs_lam(pos.shape[-1])
-    return (pos * pos).sum(axis=-1) + (vel * vel * inv_lam).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -85,7 +80,7 @@ class TestFunctional:
 def exp_neg_norm() -> TestFunctional:
     """phi(x) = exp(-||x||^2) at smoothness zero; bounded with two bounded derivatives."""
     def _eval(pos, vel, model):
-        return np.exp(-_h0_sq(pos, vel, model))
+        return np.exp(-pair_norm_sq(pos, vel, *pair_weights(model, pos.shape[-1], 0.0)))
     return TestFunctional("exp_neg_norm", True, _eval)
 
 
@@ -93,7 +88,7 @@ def cos_pairing(direction: PairState) -> TestFunctional:
     """phi(x) = cos(<psi, x>) against a fixed pair-space direction psi."""
     def _eval(pos, vel, model, _d=direction):
         n = min(pos.shape[-1], _d.n_modes)
-        inv_lam = 1.0 / model.abs_lam(n)
+        _, inv_lam = pair_weights(model, n, 0.0)
         ip = pos[..., :n] @ _d.pos[:n] + (vel[..., :n] * inv_lam) @ _d.vel[:n]
         return np.cos(ip)
     return TestFunctional("cos_pairing", True, _eval)
@@ -128,14 +123,9 @@ class ErrorTable:
 
 @dataclass(frozen=True)
 class StudyReport:
-    """Everything a convergence run produces besides rate fits."""
+    """The results of one study; its inputs stay with the caller."""
 
     table: ErrorTable
-    reference_level: int
-    master_seed: int
-    functional_kind: str
-    functional_bounded: bool
-    monitor_rho: float | None
     # second-moment monitor, levels ordered (reference, *study levels):
     # mean and standard error of ||X_k||^2 at every time-grid point
     moment_mean: np.ndarray | None
@@ -269,9 +259,7 @@ def run_study(config: SimConfig, phi: TestFunctional, n_paths: int,
     moment_sums = weights = None
     if monitor_rho is not None:
         moment_sums = np.zeros((len(chunks), n_levels + 1, k_steps + 1, 2))
-        weights = [(config.model.abs_lam(level) ** monitor_rho,
-                    config.model.abs_lam(level) ** (monitor_rho - 1.0))
-                   for level in levels_run]
+        weights = [pair_weights(config.model, level, monitor_rho) for level in levels_run]
 
     def work(ci_chunk):
         ci, chunk = ci_chunk
@@ -301,6 +289,5 @@ def run_study(config: SimConfig, phi: TestFunctional, n_paths: int,
         moment_stderr = np.sqrt(var * (n_paths / (n_paths - 1)) / n_paths)
 
     table = ErrorTable(config.levels, weak, weak_se, strong, strong_se, n_paths)
-    return StudyReport(table, config.n_ref, master_seed, phi.kind, phi.bounded,
-                       monitor_rho, moment_mean, moment_stderr)
+    return StudyReport(table, moment_mean, moment_stderr)
 

@@ -14,7 +14,10 @@ applied only inside norms, so the wave-group rotation stays unweighted.
 Smoothness scales: the pair-space norm at smoothness ``r`` weights the
 squared position coefficients by ``|lam|^r`` and the squared velocity
 coefficients by ``|lam|^(r-1)``, the graph norms of the powers r/2 and
-r/2 - 1/2 of the (negated) operator.
+r/2 - 1/2 of the (negated) operator.  These weights live in one place:
+``pair_weights`` forms them and ``pair_norm_sq`` reduces the weighted
+squares, and every norm, functional, strong gap and moment of the package
+takes its weights from there.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ __all__ = [
     "GridWorkspace",
     "build_model",
     "norm_bold_hr",
+    "pair_norm_sq",
+    "pair_weights",
     "project",
     "hs_norm_lambda_pow",
 ]
@@ -105,22 +110,28 @@ class PairState:
         return self.pos.shape[0]
 
 
-def norm_bold_hr(state: PairState, r: float, model: SpectralModel) -> float:
-    """Pair-space norm: position weighted by |lam|^r, velocity by |lam|^(r-1)."""
-    al = model.abs_lam(state.n_modes)
+def pair_weights(model: SpectralModel, n: int, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """(|lam|^r, |lam|^(r-1)) of the first n modes: the pair-space weights at r."""
+    al = model.abs_lam(n)
     with np.errstate(over="ignore"):
-        return float(_weighted_norm(state.pos, state.vel, al**r, al ** (r - 1.0)))
+        return al**r, al ** (r - 1.0)
 
 
-def _weighted_norm(pos, vel, w_pos: np.ndarray, w_vel: np.ndarray):
-    """sqrt(sum w_pos pos^2 + sum w_vel vel^2) over the last axis: the pair-space
-    norm of a state, or of each row of (rows, modes) arrays, for given weights.
+def pair_norm_sq(pos, vel, w_pos: np.ndarray, w_vel: np.ndarray):
+    """sum w_pos pos^2 + sum w_vel vel^2 over the last axis: the squared
+    pair-space norm of a state, or of each row of (rows, modes) arrays.
 
-    Each row is one contiguous pairwise sum, so a row's norm has the same bits
-    whether it is reduced alone or among other rows.
+    Each row is one contiguous pairwise sum, so a row's value has the same
+    bits whether it is reduced alone or among other rows.
     """
     with np.errstate(over="ignore"):  # near blow-up the norm is legitimately inf
-        return np.sqrt(np.sum(w_pos * pos**2, axis=-1) + np.sum(w_vel * vel**2, axis=-1))
+        return np.sum(w_pos * pos**2, axis=-1) + np.sum(w_vel * vel**2, axis=-1)
+
+
+def norm_bold_hr(state: PairState, r: float, model: SpectralModel) -> float:
+    """Pair-space norm: position weighted by |lam|^r, velocity by |lam|^(r-1)."""
+    w_pos, w_vel = pair_weights(model, state.n_modes, r)
+    return float(np.sqrt(pair_norm_sq(state.pos, state.vel, w_pos, w_vel)))
 
 
 def project(state: PairState, n_keep: int) -> PairState:

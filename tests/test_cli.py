@@ -12,7 +12,7 @@ import specwave as sw
 from specwave import mc
 from specwave.cli import main
 from specwave.config import load_config
-from specwave.spectral import _weighted_norm
+from specwave.spectral import pair_norm_sq, pair_weights
 
 from conftest import step_loop
 
@@ -223,12 +223,14 @@ class TestSimulateNormRows:
 
         with mc._single_blas_thread():
             mc.run_chunk(cfg, (cfg.n_ref,), range(1), 5, observe=keep)
-        al = cfg.model.abs_lam(cfg.n_ref)
+        w_0 = pair_weights(cfg.model, cfg.n_ref, 0.0)
+        w_rho = pair_weights(cfg.model, cfg.n_ref, rho)
         lines = (out / "norms.csv").read_text().splitlines()[1:]
         assert len(lines) == len(states) == cfg.n_steps + 1
         for k, (line, (pos, vel)) in enumerate(zip(lines, states)):
-            n_0 = float(_weighted_norm(pos, vel, al**0.0, al**-1.0))
-            n_rho = float(_weighted_norm(pos, vel, al**rho, al ** (rho - 1.0)))
+            # one row at a time: a block reduction must not change a row's bits
+            n_0 = float(np.sqrt(pair_norm_sq(pos, vel, *w_0)))
+            n_rho = float(np.sqrt(pair_norm_sq(pos, vel, *w_rho)))
             assert line == f"{k},{k * cfg.dt!r},{n_0!r},{n_rho!r}"
         state = json.loads(read(out / "state.json"))
         assert state["pos"] == states[-1][0].tolist()

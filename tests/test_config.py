@@ -200,6 +200,24 @@ def test_non_finite_number_exits_two(tmp_path, capsys, section, key, value, fiel
     assert f"(field: {field})" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("time", "t_final", 0),
+    ("time", "n_steps", 0),
+    ("noise", "m_noise", 0),
+    ("model", "grid_points", 3),
+    ("model", "n_ref", 0),
+], ids=["t_final-zero", "n_steps-zero", "m_noise-zero", "grid_points-below-n_ref",
+        "n_ref-zero"])
+def test_out_of_range_value_names_its_key(tmp_path, capsys, section, key, value):
+    # each used to be reported on field model, and n_ref as "n_modes" on theta
+    cfg = _write(tmp_path, _with(**{section: {**ZERO_SMOKE[section], key: value}}))
+    with pytest.raises(ConfigError) as err:
+        load_config(cfg)
+    assert err.value.field == key
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"{section}.{key} " in capsys.readouterr().err
+
+
 def _declared(drop=(), **values):
     """The flagship's declared norms without the keys in drop, with values set."""
     out = {k: v for k, v in DECLARED.items() if k not in drop}

@@ -220,6 +220,32 @@ class TestSimulateCoupled:
         assert gaps[0] > gaps[1] > gaps[2]
 
 
+class TestPairNormBits:
+    """exp_neg_norm and the strong gaps, bit for bit against the inline r = 0
+    form sum pos^2 + sum vel^2 / |lam| of ``_h0_sq`` (step_loop pins them to 1e-12)."""
+
+    def test_functional_and_gaps(self):
+        cfg = small_anderson_config(n_steps=16)
+        levels = (cfg.n_ref, *cfg.levels)
+        final = {}
+
+        def keep(i, k, pos, vel):
+            if k == cfg.n_steps:
+                final[levels[i]] = (pos.copy(), vel.copy())
+
+        out = run_chunk(cfg, levels, range(7), 19, phi=sw.exp_neg_norm(),
+                        strong_vs_first=True, observe=keep)
+        h0_sq = _h0_sq().evaluate_batch
+        want = [np.exp(-h0_sq(*final[level], cfg.model)) for level in levels]
+        assert np.array_equal(out["phi"], np.column_stack(want))
+        ref_pos, ref_vel = final[cfg.n_ref]
+        for j, level in enumerate(cfg.levels):
+            dp, dv = ref_pos.copy(), ref_vel.copy()
+            dp[:, :level] -= final[level][0]
+            dv[:, :level] -= final[level][1]
+            assert np.array_equal(out["strong_sq"][:, j], h0_sq(dp, dv, cfg.model))
+
+
 def _tanh_drift(x, y):
     return -np.tanh(y)
 
@@ -244,7 +270,7 @@ class TestBatchMatchesSingle:
          32),
         (sw.CoefficientSpec(alpha=0.5, beta=0.0, drift=_tanh_drift), 0),
     ], ids=["pointwise-drift", "anderson-drift", "additive-drift"])
-    def test_matches_simulate_coupled(self, spec, grid_points):
+    def test_matches_step_loop(self, spec, grid_points):
         # the reference is the step loop that coupled single-path runs consist of
         cfg = self._config(spec, grid_points)
         phi = sw.exp_neg_norm()

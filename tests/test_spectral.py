@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 import specwave as sw
 from specwave.integrator import _engine_tables
-from specwave.spectral import _sine_from_cos_matrix
+from specwave.spectral import _sine_from_cos_matrix, pair_norm_sq, pair_weights
 
 SQRT2 = math.sqrt(2.0)
 
@@ -143,6 +143,14 @@ class TestNorms:
             parts = (_norm_hr(st.pos, r / 2, model8) ** 2
                      + _norm_hr(st.vel, r / 2 - 0.5, model8) ** 2)
             assert whole == pytest.approx(parts, rel=1e-14)
+
+    def test_rows_at_zero_are_the_inline_form(self):
+        # r = 0 is sum pos^2 + sum vel^2 / |lam| bit for bit, on a 512-path
+        # block of 256 modes
+        model = sw.build_model(1.0, 256)
+        pos, vel = np.random.default_rng(7).standard_normal((2, 512, 256))
+        inline = (pos * pos).sum(axis=-1) + (vel * vel * (1.0 / -model.lam)).sum(axis=-1)
+        assert np.array_equal(pair_norm_sq(pos, vel, *pair_weights(model, 256, 0.0)), inline)
 
     def test_parseval(self, model8):
         rng = np.random.default_rng(6)
