@@ -8,7 +8,7 @@ Exit codes are part of the contract so CI can gate on them:
 Every run writes a manifest (config hash, master seed, level list, noise
 truncation, grid size, step count, path count) sufficient to reproduce its
 outputs byte for byte.  ``SPECWAVE_SEED`` overrides the built-in default
-seed; an explicit ``--seed`` wins over both.
+seed; an explicit ``--seed`` wins over both; a negative seed exits 2.
 """
 
 from __future__ import annotations
@@ -36,14 +36,18 @@ _NORM_ROWS = 64
 __all__ = ["main", "entrypoint"]
 
 
-def _default_seed() -> int:
-    env = os.environ.get("SPECWAVE_SEED")
-    if env is not None:
+def _seed(seed) -> int:
+    """seed (from --seed), else SPECWAVE_SEED, else DEFAULT_SEED; checked nonnegative."""
+    field = "seed"
+    if seed is None:
+        field, env = "SPECWAVE_SEED", os.environ.get("SPECWAVE_SEED")
         try:
-            return int(env)
+            seed = DEFAULT_SEED if env is None else int(env)
         except ValueError:
-            raise ConfigError("SPECWAVE_SEED", f"not an integer: {env!r}") from None
-    return DEFAULT_SEED
+            raise ConfigError(field, f"not an integer: {env!r}") from None
+    if seed < 0:
+        raise ConfigError(field, f"the seed must be nonnegative, got {seed}")
+    return seed
 
 
 def _fmt(x) -> str:
@@ -308,8 +312,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if hasattr(args, "seed") and args.seed is None:
-            args.seed = _default_seed()
+        if hasattr(args, "seed"):
+            args.seed = _seed(args.seed)
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

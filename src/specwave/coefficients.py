@@ -7,20 +7,21 @@ a state to (0, f(x, v(x))) and the diffusion maps a noise increment dW to
 * ``anderson``: g(v) dW = (alpha + beta v) dW, pointwise multiplication.
   Constant (additive) noise is beta = 0 and the deterministic equation is
   alpha = beta = 0.  v and the truncated increment are trigonometric
-  polynomials, so the product is projected onto the sine basis exactly
-  (closed-grid cosine analysis, no aliasing) whenever the grid satisfies
-  G >= N + M; with beta = 0 there is no product and any grid serves.
+  polynomials, so the product is projected onto the sine basis exactly (by
+  ``diffusion_vel`` with a closed-grid cosine analysis whenever G >= N + M,
+  by the engine with the rule stated in ``integrator``); with beta = 0 any
+  grid serves.
 * ``pointwise``: g(v) dW = b(x, v(x)) dW(x), evaluated on the interior grid
   and analyzed back; oversampling controls aliasing for general b.
 
 ``diffusion_vel`` and ``drift_vel`` evaluate one increment with the grid's
 sine transforms for ``integrator.step``, the single-path form of a step
 that the tests compare the engine against; no command runs them.  The one
-stepping engine, ``integrator.run_chunk``, evaluates the same fields through
-its cached dense synthesis and projection tables, synthesizing each level's
-position once per step.  Neither function checks its output for NaN or
-infinity: a non-finite field leaves the rotated state non-finite, which the
-stepper reports as a blow-up.
+stepping engine, ``integrator.run_chunk``, evaluates the same fields with
+dense tables (an Anderson product with its level's cached
+``_engine_tables``), synthesizing each level's position once per step.
+Neither function checks its output for NaN or infinity: a non-finite field
+leaves the rotated state non-finite, which the stepper reports as a blow-up.
 
 The noise increments dW are i.i.d. Normal(0, dt) coefficients of the first M
 basis modes of a cylindrical Wiener process, drawn per path by

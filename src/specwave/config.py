@@ -25,7 +25,7 @@ from . import mc
 from .analysis import BoundParams, ExponentPair, predicted_exponent
 from .coefficients import PRESETS, CoefficientSpec, preset
 from .integrator import SimConfig
-from .spectral import PairState, build_model, hs_norm_lambda_pow, norm_bold_hr
+from .spectral import PairState, build_model, hs_norm_lambda_pow, norm_bold_hr, pair_weights
 
 __all__ = [
     "ConfigError",
@@ -220,6 +220,9 @@ def load_config(path: str) -> RunSetup:
                                     f"and below model.n_ref={n_ref}, got {levels}")
     n_paths = _get(study_sec, "study", "n_paths", int, required=False, default=1000)
     monitor_rho = _get(study_sec, "study", "rho_monitor", float, required=False, default=0.0)
+    if not all(np.isfinite(w).all() for w in pair_weights(model, n_ref, monitor_rho)):
+        raise ConfigError("rho_monitor", f"study.rho_monitor {monitor_rho} overflows the "
+                                         f"pair-space weights of model.n_ref={n_ref} modes")
     functional = _functional(study_sec.get("functional", {"kind": "exp_neg_norm"}), n_ref)
 
     out_sec = _section(raw, "output", ("directory",), required=False)
@@ -329,6 +332,8 @@ def _functional(sec: dict, n_ref: int) -> mc.TestFunctional:
         component = sec.get("component")
         if not isinstance(mode, int) or isinstance(mode, bool):
             raise ConfigError("mode", "functional.mode must be an integer")
+        if not 1 <= mode <= n_ref:
+            raise ConfigError("mode", f"functional.mode {mode} outside 1..n_ref={n_ref}")
         if component not in ("pos", "vel"):
             raise ConfigError("component", "functional.component must be 'pos' or 'vel'")
         return mc.coordinate(mode, component)

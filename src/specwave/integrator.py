@@ -32,7 +32,7 @@ import numpy.random  # noqa: F401
 from .coefficients import CoefficientSpec, diffusion_vel, drift_vel
 from .propagator import propagate_arrays, rotation_tables
 from .spectral import (GridWorkspace, PairState, SpectralModel, _cos_sine_inner, _dct1,
-                       _sine_from_cos_matrix, pair_norm_sq, pair_weights)
+                       pair_norm_sq, pair_weights)
 
 __all__ = [
     "BlowUpError",
@@ -138,28 +138,31 @@ def step(state: PairState, dt: float, dw: np.ndarray, spec: CoefficientSpec,
 #
 # Every command (studies, ``specwave simulate`` on a block of one path, and
 # ``validate``) advances blocks of paths at once through ``run_chunk``, with
-# the sine synthesis and the exact product projection realized as cached
-# dense matrices so every step reduces to a few BLAS products.
+# the sine synthesis and the exact product realized as cached dense matrices
+# so every step reduces to a few BLAS products.
 #
-# Every Anderson product (alpha + beta v) dW is formed from the mirror
-# symmetry x -> 1 - x of its grid: e_n takes the sign (-1)^(n+1) there, and
-# so do the projection's column j and the noise values of mode k.  Split into
-# odd modes O (even about x = 1/2) and even modes E (odd about it), the
-# product v w = (O_v O_w + E_v E_w) + (O_v E_w + E_v O_w) is an even part A,
-# which only the odd modes see, and an odd part B, which only the even modes
-# see.  So each level-step synthesizes O_v and E_v on the left half of the
-# nodes (the centre node of an odd grid included, where E vanishes) and
-# projects 2A onto the odd and 2B onto the even modes: three pairs of
-# half-size GEMMs in place of three full ones.  The tables are strided views
-# of ``_engine_tables`` and ``_own_grid_tables``, taken per call.  The node
+# Every Anderson product (alpha + beta v) dW of level L follows one rule.
+# For j <= L, <e_j, v w> = <e_j v, w> = <v, e_j w>, so the factor with more
+# modes (the noise w when L <= m_noise, the position v when L > m_noise) may
+# be replaced by its cosine projection of degree <= d = L + min(L, m_noise),
+# while the other is sampled as sines; a DST-I on the d interior nodes
+# q/(d+1) then returns the first L sine coefficients of the product
+# unaliased.  ``_engine_tables(L, d)`` holds the level's map and the
+# analysis, ``_noise_map(m_noise, d)`` the noise's; neither grid_points nor a
+# drift moves the product.
+#
+# Each product is formed from the mirror symmetry x -> 1 - x of its nodes:
+# e_n and its cosine projection take the sign (-1)^(n+1) there, and so do
+# the analysis's column n and the noise values of mode n.  Split into odd
+# modes O (even about x = 1/2) and even modes E (odd about it), the product
+# v w = (O_v O_w + E_v E_w) + (O_v E_w + E_v O_w) is an even part A, which
+# only the odd modes see, and an odd part B, which only the even modes see.
+# So each level-step forms O_v and E_v on the left half of the nodes (the
+# centre node of an odd grid included, where E vanishes) and analyzes 2A
+# onto the odd and 2B onto the even modes: three pairs of half-size GEMMs in
+# place of three full ones, on strided views of the tables.  The node
 # weights, 2 for a node and its mirror and 1 for the centre, are folded into
 # the noise values.
-#
-# Each Anderson level L picks its grid by L against m_noise alone: below
-# m_noise, its own grid of 2L interior nodes (``_own_grid_tables``); from
-# m_noise on, the closed grid of L + m_noise nodes (``_engine_tables``), whose
-# first m_noise synthesis rows give the noise values.  Both resolve the
-# product exactly, so neither grid_points nor a drift moves it.
 #
 # The noise values do not depend on the state, so one GEMM pair per level
 # forms them for a span of steps of the current burst at once: the span's
@@ -185,54 +188,42 @@ def _sine_synthesis(n_modes: int, p: int) -> np.ndarray:
     return np.sqrt(2.0) * np.sin(np.pi * np.outer(n, q) / p)
 
 
-@lru_cache(maxsize=8)
-def _engine_tables(n_modes_max: int, g: int):
-    """(synthesis, product-projection) matrices for an interior grid of g nodes.
+def _cosine_projection(n_modes: int, nodes: int) -> np.ndarray:
+    """sum_{p<=nodes} c_p <cos p pi ., e_n> cos p pi x (c_0 = 1, c_p = 2), the
+    cosine projection of e_n, at the nodes q/(nodes+1); row n-1 for mode n.
 
-    synth[n-1, q-1] holds e_n at node q.  proj columns map interior samples
-    of an endpoint-vanishing cosine polynomial of degree <= g+1 to its exact
-    sine coefficients (closed-grid cosine analysis folded with the analytic
-    cosine-to-sine map).
-
-    The fold 2 sum_k cos(pi k q / (g+1)) m1[k] is a DCT-I of m1 with both end
-    rows doubled, taken as the real FFT of its even extension rather than a
-    BLAS product: BLAS may sum a product in an order that depends on its
-    thread count, and the tables are built once per process under whatever
-    thread count is then active.
+    The closed-form inner products (``_cos_sine_inner``) are folded with the
+    cosine synthesis by a DCT-I, an FFT, so the bytes do not depend on the
+    BLAS thread count active at the build.
     """
-    p = g + 1
-    synth = _sine_synthesis(n_modes_max, p)
-    synth.setflags(write=False)
-    m1 = _sine_from_cos_matrix(p, min(n_modes_max, g)).T
-    folded = _dct1(m1[:, 1:-1], 2.0 * m1[:, 0], 2.0 * m1[:, -1])
-    proj = np.asfortranarray(folded[:, 1:p].T)
-    proj.setflags(write=False)
-    return synth, proj
+    p = nodes + 1
+    cos_e = _cos_sine_inner(nodes, n_modes).T
+    return np.ascontiguousarray(_dct1(cos_e[:, 1:p], cos_e[:, 0])[:, 1:p])
 
 
-@lru_cache(maxsize=32)
-def _own_grid_tables(level: int, m_noise: int):
-    """(synthesis, noise map, analysis) of level L's Anderson product on 2L nodes.
+@lru_cache(maxsize=16)
+def _engine_tables(level: int, nodes: int):
+    """(level map, analysis) of level L's Anderson product on d = nodes nodes.
 
-    <e_j, v w> = <e_j v, w> for j <= L, and e_j v is a cosine polynomial of
-    degree <= 2L, so the noise field w may be replaced by its cosine
-    projection w~ = sum_{p<=2L} c_p <cos p pi ., w> cos p pi x (c_0 = 1,
-    c_p = 2).  v w~ is a sine polynomial of degree <= 3L, and a DST-I on the
-    nodes q/(2L+1), q = 1..2L, returns its first L coefficients unaliased.
-
-    synth (L x 2L) holds e_n at the nodes; noise (m_noise x 2L) maps noise
-    increments to the values of w~ there: the closed-form <cos p pi ., e_k>
-    folded with the cosine synthesis by a DCT-I (an FFT, so the bytes do not
-    depend on the BLAS thread count); analysis is synth^T/(2L+1).
+    The level map (L x d) holds e_n at the nodes, or its cosine projection
+    when d < 2L; the analysis (d x L) is the DST-I synth^T/(d+1).
     """
-    p = 2 * level + 1
-    synth = _sine_synthesis(level, p)
-    cos_e = _cos_sine_inner(p - 1, m_noise).T
-    noise = np.ascontiguousarray(_dct1(cos_e[:, 1:p], cos_e[:, 0], 0.0)[:, 1:p])
-    analysis = synth.T / p
-    for a in (synth, noise, analysis):
+    synth = _sine_synthesis(level, nodes + 1)
+    level_map = synth if nodes >= 2 * level else _cosine_projection(level, nodes)
+    analysis = synth.T / (nodes + 1)
+    for a in (level_map, analysis):
         a.setflags(write=False)
-    return synth, noise, analysis
+    return level_map, analysis
+
+
+@lru_cache(maxsize=16)
+def _noise_map(m_noise: int, nodes: int) -> np.ndarray:
+    """(m_noise x d) map of noise increments to values at d = nodes nodes: of
+    the noise's cosine projection when d <= 2 m_noise, else of e_k itself."""
+    noise = (_cosine_projection(m_noise, nodes) if nodes <= 2 * m_noise
+             else _sine_synthesis(m_noise, nodes + 1))
+    noise.setflags(write=False)
+    return noise
 
 
 # noise is streamed in bursts of at most this many bytes (and at least one
@@ -244,17 +235,17 @@ _NOISE_BURST_BYTES = 8 << 20
 _NOISE_SPAN_BYTES = 256 << 10
 
 
-def _mirror_halves(synth, analysis, level: int, h: int, b: int):
+def _mirror_halves(level_map, analysis, level: int, h: int, b: int):
     """Views and buffers of level's Anderson product split by mirror parity.
 
-    synth holds e_n at a grid's nodes and analysis maps its node values to
-    sine coefficients; only their h left-half nodes and the level's odd
-    (n = 1, 3, ...) or even modes are taken.  Returns the four table views,
-    and buffers for the odd- and even-mode coefficients and for four
-    left-half fields.
+    level_map takes position coefficients to a grid's node values and
+    analysis takes node values to sine coefficients; only their h left-half
+    nodes and the level's odd (n = 1, 3, ...) or even modes are taken.
+    Returns the four table views, and buffers for the odd- and even-mode
+    coefficients and for four left-half fields.
     """
     n_odd, n_even = (level + 1) // 2, level // 2
-    return (synth[0:level:2, :h], synth[1:level:2, :h],
+    return (level_map[0:level:2, :h], level_map[1:level:2, :h],
             analysis[:h, 0:level:2], analysis[:h, 1:level:2],
             np.empty((b, n_odd)), np.empty((b, n_even)),
             np.empty((b, h)), np.empty((b, h)), np.empty((b, h)), np.empty((b, h)))
@@ -319,17 +310,14 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
     halves = {}
     noise_maps = []
     for level in levels if beta != 0.0 else ():
-        if level < m:
-            s_grid, noise, a_grid = _own_grid_tables(level, m)
-            nodes = 2 * level
-        else:
-            s_grid, a_grid = _engine_tables(level, level + m)
-            noise, nodes = s_grid[:m], level + m
+        nodes = level + min(level, m)
+        level_map, analysis = _engine_tables(level, nodes)
+        noise = _noise_map(m, nodes)
         h = (nodes + 1) // 2
         w = np.empty((2, span, b, h))
         # an odd grid's centre node is its own mirror
         noise_maps.append((noise[0::2, :h], noise[1::2, :h], w, nodes % 2))
-        halves[level] = (w, _mirror_halves(s_grid, a_grid, level, h, b))
+        halves[level] = (w, _mirror_halves(level_map, analysis, level, h, b))
     if halves:
         dw_odd, dw_even = np.empty((span, b, (m + 1) // 2)), np.empty((span, b, m // 2))
 

@@ -226,10 +226,10 @@ def _dst1(a: np.ndarray, n: int) -> np.ndarray:
     return -np.fft.rfft(ext)[..., 1:n + 1].imag
 
 
-def _dct1(inner: np.ndarray, first=0.0, last=0.0) -> np.ndarray:
-    """Unnormalized DCT-I of [first, inner, last] along the last axis.
+def _dct1(inner: np.ndarray, first=0.0) -> np.ndarray:
+    """Unnormalized DCT-I of [first, inner, 0] along the last axis.
 
-    With c that sequence and p = len(c) - 1, y_k = c_0 + (-1)^k c_p
+    With c that sequence and p = len(c) - 1, y_k = c_0
     + 2 sum_{0<j<p} c_j cos(pi j k/p) is the real part of the real FFT of the
     even extension [c_0..c_p, c_{p-1}..c_1] of length 2p.
     """
@@ -237,7 +237,7 @@ def _dct1(inner: np.ndarray, first=0.0, last=0.0) -> np.ndarray:
     ext = np.empty(inner.shape[:-1] + (2 * p,))
     ext[..., 0] = first
     ext[..., 1:p] = inner
-    ext[..., p] = last
+    ext[..., p] = 0.0
     ext[..., p + 1:] = inner[..., ::-1]
     # contiguous: numpy's matmul sums a strided operand outside BLAS, in
     # another order, which would change the bytes of product_to_sine

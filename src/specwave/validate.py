@@ -4,11 +4,11 @@ Four checks exercise numerics that the installed numpy, BLAS or random
 number generator can break: the wave group is an isometry, a path with zero
 coefficients follows the group, one seed gives one path, and one Anderson
 step of the stepping engine (``integrator.run_chunk``, behind every command)
-matches the closed-form triple product of the sine basis, on the closed grid
-of L + m_noise nodes and on a level's own grid of 2L.  Each raises
-AssertionError with a short reason when it fails; ``_require`` raises it,
-because ``python -O`` strips assert statements.  Properties that only the
-package's own code decides are left to the test suite.
+matches the closed-form triple product of the sine basis, with the position
+and with the noise projected onto cosines.  Each raises AssertionError with a
+short reason when it fails; ``_require`` raises it, because ``python -O``
+strips assert statements.  Properties that only the package's own code
+decides are left to the test suite.
 """
 
 from __future__ import annotations
@@ -62,13 +62,13 @@ def check_path_determinism():
 def check_exact_product():
     # one step from a random state: the velocity gains the Anderson product
     # v dW projected onto the sine basis, then the state rotates; the
-    # reference 16 = m_noise forms it on the closed grid of 32 nodes and
-    # level 4 on its own grid of 8
+    # reference 16 > m_noise = 7 projects its position onto cosines on 23
+    # nodes, a centre node among them, and level 4 the noise on 8
     model = spectral.build_model(1.0, 16)
     rng = _rng(17)
     initial = spectral.PairState(rng.standard_normal(16), rng.standard_normal(16))
     cfg = integrator.SimConfig(model=model, levels=(4,), t_final=0.5, n_steps=1,
-                               m_noise=16, spec=coefficients.preset("anderson"),
+                               m_noise=7, spec=coefficients.preset("anderson"),
                                initial=initial)
     levels = (cfg.n_ref, 4)
     batched = _terminal_states(cfg, levels, range(3), 17)

@@ -102,6 +102,24 @@ class TestSimulate:
         manifest = json.loads(read(out / "manifest.json"))
         assert manifest["master_seed"] == 9001
 
+    @pytest.mark.parametrize("command, seed_arg, env, field", [
+        ("simulate", ["--seed=-1"], None, "seed"),
+        ("convergence", ["--seed=-1"], None, "seed"),
+        ("simulate", [], "-3", "SPECWAVE_SEED"),
+        ("convergence", [], "-3", "SPECWAVE_SEED"),
+    ], ids=["simulate-flag", "convergence-flag", "simulate-env", "convergence-env"])
+    def test_negative_seed_exits_two_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                      command, seed_arg, env, field):
+        # numpy's SeedSequence refuses a negative seed with a traceback, after
+        # the output directory was made
+        cfg = write_config(tmp_path, ZERO_CONFIG)
+        if env is not None:
+            monkeypatch.setenv("SPECWAVE_SEED", env)
+        out = tmp_path / "neg"
+        assert main([command, "--config", cfg, *seed_arg, "--out", str(out)]) == 2
+        assert f"(field: {field})" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_blow_up_exit_code(self, tmp_path):
         exploding = json.loads(json.dumps(SMALL_ANDERSON))
         exploding["coefficients"]["beta"] = 1e160
@@ -480,24 +498,27 @@ class TestValidate:
         assert "FAIL  group isometry" in run.stdout
 
     def test_scaled_product_fails_exact_product(self, monkeypatch, capsys):
-        # mutation check: an Anderson product projection off by 1e-6 relative,
-        # on the config's grid (reference 16) and on a level's own grid (4)
+        # mutation check: an Anderson product analysis off by 1e-6 relative,
+        # in one role at a time: the reference 16 projects its position onto
+        # cosines (23 nodes < 2 * 16), level 4 the noise (8 nodes = 2 * 4)
         import specwave.integrator as integrator
 
-        for name, level in (("_engine_tables", 16), ("_own_grid_tables", 4)):
-            tables = getattr(integrator, name)
+        tables = integrator._engine_tables
+        for level_projected, level in ((True, 16), (False, 4)):
 
-            def scaled(*args, tables=tables):
-                *rest, analysis = tables(*args)
-                return (*rest, analysis * (1.0 + 1e-6))
+            def scaled(level_, nodes, level_projected=level_projected):
+                level_map, analysis = tables(level_, nodes)
+                if (nodes < 2 * level_) == level_projected:
+                    analysis = analysis * (1.0 + 1e-6)
+                return level_map, analysis
 
             with monkeypatch.context() as patch:
-                patch.setattr(integrator, name, scaled)
+                patch.setattr(integrator, "_engine_tables", scaled)
                 assert main(["validate"]) == 1
             fails = [line for line in capsys.readouterr().out.splitlines()
                      if line.startswith("FAIL")]
             assert any(line.startswith("FAIL  exact product") and f"level {level}" in line
-                       for line in fails), name
+                       for line in fails), level
 
     def test_no_runtime_warning(self):
         run = run_python("-W", "error::RuntimeWarning", "-m", "specwave.cli", "validate")

@@ -206,16 +206,32 @@ def test_non_finite_number_exits_two(tmp_path, capsys, section, key, value, fiel
     ("noise", "m_noise", 0),
     ("model", "grid_points", 3),
     ("model", "n_ref", 0),
+    ("study", "rho_monitor", 200.0),
 ], ids=["t_final-zero", "n_steps-zero", "m_noise-zero", "grid_points-below-n_ref",
-        "n_ref-zero"])
+        "n_ref-zero", "rho_monitor-overflows-weights"])
 def test_out_of_range_value_names_its_key(tmp_path, capsys, section, key, value):
-    # each used to be reported on field model, and n_ref as "n_modes" on theta
+    # each used to be reported on field model, and n_ref as "n_modes" on
+    # theta; a rho_monitor whose weights |lam|^rho overflow used to write
+    # nan and inf norm rows with exit 0
     cfg = _write(tmp_path, _with(**{section: {**ZERO_SMOKE[section], key: value}}))
     with pytest.raises(ConfigError) as err:
         load_config(cfg)
     assert err.value.field == key
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"{section}.{key} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", [0, 99], ids=["zero", "above-n_ref"])
+def test_coordinate_mode_outside_the_reference_exits_two(tmp_path, capsys, mode):
+    # mode 0 used to end in a traceback (exit 1); mode 99 with n_ref 8 ran the
+    # study on an identically zero functional
+    functional = {"kind": "coordinate", "mode": mode, "component": "pos"}
+    cfg = _write(tmp_path, _with(study={**ZERO_SMOKE["study"], "functional": functional}))
+    with pytest.raises(ConfigError) as err:
+        load_config(cfg)
+    assert err.value.field == "mode"
+    assert main(["convergence", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "(field: mode)" in capsys.readouterr().err
 
 
 def _declared(drop=(), **values):

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -8,10 +10,13 @@ import pytest
 import specwave as sw
 from specwave import integrator
 from specwave.coefficients import diffusion_vel, drift_vel
+from specwave.config import load_config
 from specwave.integrator import run_chunk
 from specwave.validate import _terminal_states
 
 from conftest import expected_row, phi_at, small_anderson_config, step_loop, zero_config
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 class TestStep:
@@ -286,10 +291,11 @@ class TestBatchMatchesSingle:
 class TestOwnGrid:
     """Each Anderson level forms its product on a grid sized by L and m_noise.
 
-    A level L < m_noise runs on its own 2L nodes, any other on the closed
-    grid of L + m_noise nodes ("the grid" in the case ids below); grid_points
-    plays no part.  Either way the product is formed from odd and even modes
-    on the left half of the grid's nodes.
+    A level L runs on min(2L, L + m_noise) nodes; grid_points plays no part.
+    The case ids compare 2L with L + m_noise ("the grid"): below it, and at
+    the tie L = m_noise, the noise is projected onto cosines; above it, the
+    position is.  Either role forms the product from odd and even modes on
+    the left half of the nodes.
     """
 
     @staticmethod
@@ -304,20 +310,21 @@ class TestOwnGrid:
 
     @pytest.mark.parametrize("n_ref, m_noise, grid_points, levels, spec", [
         (8, 64, 0, (2,), sw.preset("anderson")),
-        # L = m_noise - 1, m_noise and m_noise + 1: 30 own nodes, then the
-        # closed grids of 32 and 33 nodes, the last with a centre node that
-        # is its own mirror
+        # L = m_noise - 1, m_noise and m_noise + 1: the noise projected on 30
+        # and 32 nodes, then the position projected on 33, a centre node
+        # that is its own mirror among them
         (16, 16, 32, (15,), sw.preset("anderson")),
         (16, 16, 32, (16,), sw.preset("anderson")),
         (17, 16, 33, (17,), sw.preset("anderson")),
-        # 7, 8, 9 and 10 on 12 to 15 nodes, two of them odd; 2 on its own 4;
-        # an odd noise count
+        # 7, 8, 9 and 10 projected on 12 to 15 nodes, two of them odd; 2
+        # with the noise projected on 4; an odd noise count
         (10, 5, 15, (2, 7, 8, 9, 10), sw.preset("anderson")),
-        # 3 on its own 6, 8 on 16 and 9 on 17; an even noise count
+        # 3 on 6 and 8 on 16 with the noise projected, 9 projected on 17; an
+        # even noise count
         (9, 8, 18, (3, 8, 9), sw.preset("anderson")),
         (10, 6, 17, (5, 9, 10), sw.CoefficientSpec(alpha=0.3, beta=0.7)),
-        # a drift moves no product (1 and 4 on their own grids, 9 on 16
-        # nodes) and reads the odd config grid
+        # a drift moves no product (1 on 2 and 4 on 8 nodes, 9 on 16) and
+        # reads the odd config grid
         (9, 7, 17, (1, 4, 9), sw.CoefficientSpec(alpha=0.2, beta=1.0, drift=_tanh_drift)),
         # no even noise mode, and a level with no even mode
         (3, 1, 5, (1, 3), sw.preset("anderson")),
@@ -335,14 +342,35 @@ class TestOwnGrid:
                 assert np.max(np.abs(vel[row] - want[level].vel)) < 1e-12, level
 
     def test_reference_keeps_its_bytes(self):
-        # the flagship's geometry scaled down: n_ref = m_noise, so the
-        # reference runs on the closed grid of 2 n_ref nodes and every study
-        # level on its own
+        # the flagship's geometry scaled down: n_ref = m_noise, so every
+        # level, the reference on 2 n_ref nodes included, projects the noise
         cfg = self._config(16, 16, 32, (2, 4, 8))
         phi = sw.exp_neg_norm()
         alone = run_chunk(cfg, (cfg.n_ref,), range(5), 29, phi=phi)
         coupled = run_chunk(cfg, (cfg.n_ref, *cfg.levels), range(5), 29, phi=phi)
         assert np.array_equal(alone["phi"][:, 0], coupled["phi"][:, 0])
+
+    @pytest.mark.parametrize("n_ref, grid_points", [(256, 512), (512, 768)],
+                             ids=["flagship", "fine-reference"])
+    def test_benchmark_setup_builds_the_reference_tables(self, tmp_path, n_ref, grid_points):
+        # perfbench/child.py builds _engine_tables(max(n_ref, m_noise),
+        # grid_points) in its set-up; that must be the cache entry the run's
+        # reference level reads, or the build moves from setup_s into wall_s
+        with open(os.path.join(CONFIG_DIR, "anderson_acceptance.json"), encoding="utf-8") as fh:
+            obj = json.load(fh)
+        obj["model"].update(n_ref=n_ref, grid_points=grid_points)
+        obj["time"]["n_steps"] = 1
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        cfg = load_config(str(path)).config
+        tables = integrator._engine_tables
+        tables.cache_clear()
+        run_chunk(cfg, (cfg.n_ref,), range(1), 3)
+        before = tables.cache_info()
+        tables(max(cfg.n_ref, cfg.m_noise), cfg.grid_points)
+        after = tables.cache_info()
+        assert before.currsize == 1
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
     @pytest.mark.parametrize("spec", [
         sw.preset("anderson"), sw.CoefficientSpec(alpha=0.3, beta=0.7),

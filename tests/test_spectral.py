@@ -6,8 +6,9 @@ import scipy.fft
 from scipy.integrate import quad
 
 import specwave as sw
-from specwave.integrator import _engine_tables
+from specwave.integrator import _engine_tables, _noise_map
 from specwave.spectral import _sine_from_cos_matrix, pair_norm_sq, pair_weights
+from specwave.validate import _triple_product
 
 SQRT2 = math.sqrt(2.0)
 
@@ -295,11 +296,22 @@ class TestTransformsMatchScipy:
         want = scipy.fft.dct(closed, type=1) @ _sine_from_cos_matrix(g + 1, n)
         _close(grid.product_to_sine(v, n), want)
 
-    @pytest.mark.parametrize("n, g", [(16, 32), (64, 256), (256, 512), (512, 768)])
-    def test_engine_tables(self, n, g):
-        _, proj = _engine_tables(n, g)
-        m1 = np.array(_sine_from_cos_matrix(g + 1, n))
-        m1[0] *= 2.0
-        m1[-1] *= 2.0
-        _close(proj, scipy.fft.dct(m1, type=1, axis=0)[1:g + 1])
-        assert proj.flags.f_contiguous
+    # (level, m_noise) on level + min(level, m_noise) nodes; ids name the
+    # _engine_tables key (level, nodes)
+    @pytest.mark.parametrize("level, m_noise", [(12, 20), (16, 16), (24, 7)],
+                             ids=["12-24", "16-32", "24-31"])
+    def test_engine_tables(self, level, m_noise):
+        # L < m_noise and L = m_noise project the noise onto cosines, L >
+        # m_noise the position, here on an odd node count; the product of the
+        # tables is the closed-form triple product, an oracle that shares no
+        # table with the engine
+        nodes = level + min(level, m_noise)
+        level_map, analysis = _engine_tables(level, nodes)
+        noise = _noise_map(m_noise, nodes)
+        assert level_map.shape == (level, nodes) and noise.shape == (m_noise, nodes)
+        rng = np.random.default_rng(level * m_noise)
+        v = rng.standard_normal((4, level))
+        w = rng.standard_normal((4, m_noise))
+        triple = _triple_product(m_noise, level)
+        _close(((v @ level_map) * (w @ noise)) @ analysis,
+               np.einsum("bj,bn,jnk->bk", w, v, triple))
