@@ -18,8 +18,10 @@ a state to (0, f(x, v(x))) and the diffusion maps a noise increment dW to
 sine transforms for ``integrator.step``, the single-path form of a step
 that the tests compare the engine against; no command runs them.  The one
 stepping engine, ``integrator.run_chunk``, evaluates the same fields with
-dense tables (an Anderson product with its level's cached
-``_engine_tables``), synthesizing each level's position once per step.
+dense tables, synthesizing each level's position once per step.  An
+Anderson product reads only the mirror halves of its level's tables, cached
+contiguous by ``_engine_tables`` and ``_noise_map`` with the noise's node
+weights folded in (see ``integrator``).
 Neither function checks its output for NaN or infinity: a non-finite field
 leaves the rotated state non-finite, which the stepper reports as a blow-up.
 

@@ -220,9 +220,14 @@ def load_config(path: str) -> RunSetup:
                                     f"and below model.n_ref={n_ref}, got {levels}")
     n_paths = _get(study_sec, "study", "n_paths", int, required=False, default=1000)
     monitor_rho = _get(study_sec, "study", "rho_monitor", float, required=False, default=0.0)
-    if not all(np.isfinite(w).all() for w in pair_weights(model, n_ref, monitor_rho)):
+    # the moment monitor squares the weighted norms, so a weight must square
+    # within float range
+    with np.errstate(over="ignore"):
+        squares = [w * w for w in pair_weights(model, n_ref, monitor_rho)]
+    if not all(np.isfinite(sq).all() for sq in squares):
         raise ConfigError("rho_monitor", f"study.rho_monitor {monitor_rho} overflows the "
-                                         f"pair-space weights of model.n_ref={n_ref} modes")
+                                         f"squared pair-space weights of model.n_ref={n_ref} "
+                                         f"modes")
     functional = _functional(study_sec.get("functional", {"kind": "exp_neg_norm"}), n_ref)
 
     out_sec = _section(raw, "output", ("directory",), required=False)

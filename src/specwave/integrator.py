@@ -147,9 +147,9 @@ def step(state: PairState, dt: float, dw: np.ndarray, spec: CoefficientSpec,
 # be replaced by its cosine projection of degree <= d = L + min(L, m_noise),
 # while the other is sampled as sines; a DST-I on the d interior nodes
 # q/(d+1) then returns the first L sine coefficients of the product
-# unaliased.  ``_engine_tables(L, d)`` holds the level's map and the
-# analysis, ``_noise_map(m_noise, d)`` the noise's; neither grid_points nor a
-# drift moves the product.
+# unaliased.  ``_engine_tables(L, d)`` caches the level's map and the
+# analysis, ``_noise_map(m_noise, d)`` the noise's, each split as below;
+# neither grid_points nor a drift moves the product.
 #
 # Each product is formed from the mirror symmetry x -> 1 - x of its nodes:
 # e_n and its cosine projection take the sign (-1)^(n+1) there, and so do
@@ -160,9 +160,19 @@ def step(state: PairState, dt: float, dw: np.ndarray, spec: CoefficientSpec,
 # So each level-step forms O_v and E_v on the left half of the nodes (the
 # centre node of an odd grid included, where E vanishes) and analyzes 2A
 # onto the odd and 2B onto the even modes: three pairs of half-size GEMMs in
-# place of three full ones, on strided views of the tables.  The node
+# place of three full ones.
+#
+# Only those halves are cached, each in its own read-only C-ordered buffer,
+# so no GEMM reads a strided view and no full table is kept.  The map halves
+# are stored as (modes x h) arrays; the analysis halves, (h x modes) GEMM
+# operands, as their C-ordered transposes read through ``.T``.  With that
+# layout a GEMM gives the bits it gives on the strided column slices of the
+# full analysis, at every block size measured (1 to 512 paths); a plain
+# C-ordered copy does not, as OpenBLAS then picks other kernels (at a single
+# path on every grid measured, at every block size on some).  The node
 # weights, 2 for a node and its mirror and 1 for the centre, are folded into
-# the noise values.
+# the noise map halves; they are exact powers of two, so folding them in
+# changes no bit of the noise values.
 #
 # The noise values do not depend on the state, so one GEMM pair per level
 # forms them for a span of steps of the current burst at once: the span's
@@ -201,29 +211,50 @@ def _cosine_projection(n_modes: int, nodes: int) -> np.ndarray:
     return np.ascontiguousarray(_dct1(cos_e[:, 1:p], cos_e[:, 0])[:, 1:p])
 
 
+def _parity_rows(table: np.ndarray, h: int, weights=1.0):
+    """Read-only C-ordered copies of table's odd-mode (rows 0, 2, ...) and
+    even-mode rows on its first h columns, times weights."""
+    halves = tuple(table[p::2, :h] * weights for p in (0, 1))
+    for a in halves:
+        a.setflags(write=False)
+    return halves
+
+
 @lru_cache(maxsize=16)
 def _engine_tables(level: int, nodes: int):
-    """(level map, analysis) of level L's Anderson product on d = nodes nodes.
+    """Level L's Anderson product tables on d = nodes nodes, split by mirror parity.
 
-    The level map (L x d) holds e_n at the nodes, or its cosine projection
-    when d < 2L; the analysis (d x L) is the DST-I synth^T/(d+1).
+    Returns (map_odd, map_even, analysis_odd, analysis_even).  The map halves
+    are the odd-mode (n = 1, 3, ...) and even-mode rows, on the h = (d+1)//2
+    left-half nodes, of the level map: e_n at the nodes, or its cosine
+    projection when d < 2L.  The analysis halves are the h left-half rows of
+    the DST-I synth^T/(d+1) at the odd and even mode columns, stored as
+    C-ordered (modes x h) arrays and returned as their transposes ``.T``,
+    the layout that keeps a GEMM's bits at every block size (see the engine
+    notes above).  Each is a read-only copy; no full table is kept.
     """
+    h = (nodes + 1) // 2
     synth = _sine_synthesis(level, nodes + 1)
     level_map = synth if nodes >= 2 * level else _cosine_projection(level, nodes)
-    analysis = synth.T / (nodes + 1)
-    for a in (level_map, analysis):
-        a.setflags(write=False)
-    return level_map, analysis
+    analysis_t = _parity_rows(synth / (nodes + 1), h)
+    return (*_parity_rows(level_map, h), *(a.T for a in analysis_t))
 
 
 @lru_cache(maxsize=16)
-def _noise_map(m_noise: int, nodes: int) -> np.ndarray:
-    """(m_noise x d) map of noise increments to values at d = nodes nodes: of
-    the noise's cosine projection when d <= 2 m_noise, else of e_k itself."""
+def _noise_map(m_noise: int, nodes: int):
+    """(map_odd, map_even): the odd- and even-mode rows, on the h = (d+1)//2
+    left-half nodes, of the map of noise increments to values at d = nodes
+    nodes (of the noise's cosine projection when d <= 2 m_noise, else of e_k
+    itself), C-ordered and read-only, with the node weights folded in: 2 for
+    a node standing for itself and its mirror, 1 for an odd grid's centre,
+    its own mirror.  Both are exact powers of two, so no bit changes."""
     noise = (_cosine_projection(m_noise, nodes) if nodes <= 2 * m_noise
              else _sine_synthesis(m_noise, nodes + 1))
-    noise.setflags(write=False)
-    return noise
+    h = (nodes + 1) // 2
+    weights = np.full(h, 2.0)
+    if nodes % 2:
+        weights[-1] = 1.0
+    return _parity_rows(noise, h, weights)
 
 
 # noise is streamed in bursts of at most this many bytes (and at least one
@@ -233,22 +264,6 @@ _NOISE_BURST_BYTES = 8 << 20
 # the weighted noise values are formed for as many steps at once as fit this
 # many bytes of increments (and at least one step)
 _NOISE_SPAN_BYTES = 256 << 10
-
-
-def _mirror_halves(level_map, analysis, level: int, h: int, b: int):
-    """Views and buffers of level's Anderson product split by mirror parity.
-
-    level_map takes position coefficients to a grid's node values and
-    analysis takes node values to sine coefficients; only their h left-half
-    nodes and the level's odd (n = 1, 3, ...) or even modes are taken.
-    Returns the four table views, and buffers for the odd- and even-mode
-    coefficients and for four left-half fields.
-    """
-    n_odd, n_even = (level + 1) // 2, level // 2
-    return (level_map[0:level:2, :h], level_map[1:level:2, :h],
-            analysis[:h, 0:level:2], analysis[:h, 1:level:2],
-            np.empty((b, n_odd)), np.empty((b, n_even)),
-            np.empty((b, h)), np.empty((b, h)), np.empty((b, h)), np.empty((b, h)))
 
 
 def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
@@ -302,22 +317,22 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
         w_vals = np.empty((b, g)) if pointwise else None
         bw = np.empty((b, g)) if pointwise else None
     # per Anderson level: its grid's weighted noise values (odd/even, step of
-    # the span, path, node), formed by one GEMM pair per span, and its mirror
-    # halves (``_mirror_halves``).  Each level keeps its own pair: in one GEMM
-    # over several grids, BLAS may sum a level's columns in an order that
-    # depends on the other levels
+    # the span, path, node), formed by one GEMM pair per span, its mirror-half
+    # tables (``_engine_tables``) and buffers for its odd- and even-mode
+    # coefficients and four left-half fields.  Each level keeps its own pair:
+    # in one GEMM over several grids, BLAS may sum a level's columns in an
+    # order that depends on the other levels
     span = max(1, _NOISE_SPAN_BYTES // (8 * b * m))
     halves = {}
     noise_maps = []
     for level in levels if beta != 0.0 else ():
         nodes = level + min(level, m)
-        level_map, analysis = _engine_tables(level, nodes)
-        noise = _noise_map(m, nodes)
         h = (nodes + 1) // 2
         w = np.empty((2, span, b, h))
-        # an odd grid's centre node is its own mirror
-        noise_maps.append((noise[0::2, :h], noise[1::2, :h], w, nodes % 2))
-        halves[level] = (w, _mirror_halves(level_map, analysis, level, h, b))
+        noise_maps.append((*_noise_map(m, nodes), w))
+        buffers = (np.empty((b, (level + 1) // 2)), np.empty((b, level // 2)),
+                   *(np.empty((b, h)) for _ in range(4)))
+        halves[level] = (w, _engine_tables(level, nodes), buffers)
     if halves:
         dw_odd, dw_even = np.empty((span, b, (m + 1) // 2)), np.empty((span, b, m // 2))
 
@@ -351,16 +366,13 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
             if halves and s == 0:
                 n = min(span, n_burst - j)
                 rows = steps[:, j:j + n].transpose(1, 0, 2)
-                # a left-half node stands for itself and its mirror: weight 2
-                np.multiply(rows[:, :, 0::2], 2.0, out=dw_odd[:n])
-                np.multiply(rows[:, :, 1::2], 2.0, out=dw_even[:n])
+                np.copyto(dw_odd[:n], rows[:, :, 0::2])
+                np.copyto(dw_even[:n], rows[:, :, 1::2])
                 odd_in = dw_odd[:n].reshape(n * b, -1)
                 even_in = dw_even[:n].reshape(n * b, -1)
-                for map_odd, map_even, w, centre in noise_maps:
+                for map_odd, map_even, w in noise_maps:
                     np.matmul(odd_in, map_odd, out=w[0, :n].reshape(n * b, -1))
                     np.matmul(even_in, map_even, out=w[1, :n].reshape(n * b, -1))
-                    if centre:
-                        w[:, :n, :, -1] *= 0.5
             for i, level in enumerate(levels):
                 pos, vel = states[level]
                 new_pos, new_vel, tmp = scratch[level]
@@ -374,8 +386,8 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
                         tmp /= grid.intervals
                         vel += tmp
                     if level in halves:
-                        w, (s_odd, s_even, p_odd, p_even,
-                            v_odd, v_even, o_vals, e_vals, x, y) = halves[level]
+                        w, (s_odd, s_even, p_odd, p_even), buffers = halves[level]
+                        v_odd, v_even, o_vals, e_vals, x, y = buffers
                         w_odd, w_even = w[0, s], w[1, s]
                         np.copyto(v_odd, pos[:, 0::2])
                         np.copyto(v_even, pos[:, 1::2])

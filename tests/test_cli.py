@@ -498,7 +498,7 @@ class TestValidate:
         assert "FAIL  group isometry" in run.stdout
 
     def test_scaled_product_fails_exact_product(self, monkeypatch, capsys):
-        # mutation check: an Anderson product analysis off by 1e-6 relative,
+        # mutation check: an Anderson product's analysis halves off by 1e-6 relative,
         # in one role at a time: the reference 16 projects its position onto
         # cosines (23 nodes < 2 * 16), level 4 the noise (8 nodes = 2 * 4)
         import specwave.integrator as integrator
@@ -507,10 +507,10 @@ class TestValidate:
         for level_projected, level in ((True, 16), (False, 4)):
 
             def scaled(level_, nodes, level_projected=level_projected):
-                level_map, analysis = tables(level_, nodes)
+                map_odd, map_even, *analysis = tables(level_, nodes)
                 if (nodes < 2 * level_) == level_projected:
-                    analysis = analysis * (1.0 + 1e-6)
-                return level_map, analysis
+                    analysis = [a * (1.0 + 1e-6) for a in analysis]
+                return map_odd, map_even, *analysis
 
             with monkeypatch.context() as patch:
                 patch.setattr(integrator, "_engine_tables", scaled)

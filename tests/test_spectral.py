@@ -6,7 +6,7 @@ import scipy.fft
 from scipy.integrate import quad
 
 import specwave as sw
-from specwave.integrator import _engine_tables, _noise_map
+from specwave.integrator import _cosine_projection, _engine_tables, _noise_map, _sine_synthesis
 from specwave.spectral import _sine_from_cos_matrix, pair_norm_sq, pair_weights
 from specwave.validate import _triple_product
 
@@ -302,16 +302,51 @@ class TestTransformsMatchScipy:
                              ids=["12-24", "16-32", "24-31"])
     def test_engine_tables(self, level, m_noise):
         # L < m_noise and L = m_noise project the noise onto cosines, L >
-        # m_noise the position, here on an odd node count; the product of the
-        # tables is the closed-form triple product, an oracle that shares no
-        # table with the engine
+        # m_noise the position, here on an odd node count; the product formed
+        # from the mirror halves as run_chunk forms it is the closed-form
+        # triple product, an oracle that shares no table with the engine
         nodes = level + min(level, m_noise)
-        level_map, analysis = _engine_tables(level, nodes)
-        noise = _noise_map(m_noise, nodes)
-        assert level_map.shape == (level, nodes) and noise.shape == (m_noise, nodes)
+        h = (nodes + 1) // 2
+        map_odd, map_even, analysis_odd, analysis_even = _engine_tables(level, nodes)
+        noise_odd, noise_even = _noise_map(m_noise, nodes)
+        assert map_odd.shape == ((level + 1) // 2, h) and analysis_even.shape == (h, level // 2)
+        assert noise_odd.shape == ((m_noise + 1) // 2, h) and noise_even.shape == (m_noise // 2, h)
         rng = np.random.default_rng(level * m_noise)
         v = rng.standard_normal((4, level))
         w = rng.standard_normal((4, m_noise))
+        o, e = v[:, 0::2] @ map_odd, v[:, 1::2] @ map_even
+        wo, we = w[:, 0::2] @ noise_odd, w[:, 1::2] @ noise_even
+        got = np.empty((4, level))
+        got[:, 0::2] = (o * wo + e * we) @ analysis_odd
+        got[:, 1::2] = (o * we + e * wo) @ analysis_even
         triple = _triple_product(m_noise, level)
-        _close(((v @ level_map) * (w @ noise)) @ analysis,
-               np.einsum("bj,bn,jnk->bk", w, v, triple))
+        _close(got, np.einsum("bj,bn,jnk->bk", w, v, triple))
+
+    # (level or m_noise, nodes): the flagship and fine-reference references,
+    # an odd grid, one mode, and a noise sampled as sines
+    @pytest.mark.parametrize("modes, nodes", [(256, 512), (512, 768), (24, 31), (1, 2), (7, 31)])
+    def test_cached_halves_are_the_full_tables(self, modes, nodes):
+        # bit for bit the parity slices of the full-formula tables; the noise
+        # halves carry the node weights 2, or 1 at an odd grid's centre
+        h = (nodes + 1) // 2
+        synth = _sine_synthesis(modes, nodes + 1)
+        level_map = synth if nodes >= 2 * modes else _cosine_projection(modes, nodes)
+        analysis = synth.T / (nodes + 1)
+        noise = _cosine_projection(modes, nodes) if nodes <= 2 * modes else synth
+        tables = _engine_tables(modes, nodes)
+        want = (level_map[0::2, :h], level_map[1::2, :h], analysis[:h, 0::2], analysis[:h, 1::2])
+        for got, full in zip(tables, want):
+            assert np.array_equal(got, full)
+        noises = _noise_map(modes, nodes)
+        for got, full in zip(noises, (noise[0::2, :h], noise[1::2, :h])):
+            weighted = 2.0 * full
+            if nodes % 2:
+                weighted[:, -1] = full[:, -1]
+            assert np.array_equal(got, weighted)
+        # each is stored C-ordered in its own read-only buffer, no full table
+        # behind it; the analysis halves as transposes
+        for got, transposed in zip((*tables, *noises), (False, False, True, True, False, False)):
+            stored = got.T if transposed else got
+            owner = got if got.base is None else got.base
+            assert owner.shape == stored.shape and owner.flags.c_contiguous
+            assert owner.flags.owndata and not got.flags.writeable
