@@ -14,6 +14,7 @@ seed; an explicit ``--seed`` wins over both; a negative seed exits 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -55,9 +56,9 @@ def _fmt(x) -> str:
 
 
 def _write_json(path: str, obj) -> None:
+    # one string in one write: json.dump with an indent writes piece by piece
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _write_manifest(out_dir: str, config_path: str, seed: int, cfg: SimConfig,
@@ -119,8 +120,8 @@ def cmd_simulate(args) -> int:
 
     with open(os.path.join(out_dir, "norms.csv"), "w", encoding="utf-8") as fh:
         fh.write("step,t,norm_h0,norm_hrho\n")
-        for k, (n0, nr) in enumerate(norms.T):
-            fh.write(f"{k},{_fmt(k * cfg.dt)},{_fmt(n0)},{_fmt(nr)}\n")
+        fh.write("".join(f"{k},{k * cfg.dt!r},{n0!r},{nr!r}\n"
+                         for k, (n0, nr) in enumerate(norms.T.tolist())))
     _write_json(os.path.join(out_dir, "state.json"), terminal)
     _write_manifest(out_dir, args.config, seed, cfg, 1)
     return 0
@@ -276,6 +277,8 @@ def cmd_validate(args) -> int:
     return 0
 
 
+# parse_args leaves the parser as it was, so one serves every call
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specwave",

@@ -190,6 +190,14 @@ def step(state: PairState, dt: float, dw: np.ndarray, spec: CoefficientSpec,
 # loop of ``step`` per path and level under the path's increments; terminal
 # states agree with that loop to floating-point reassociation (~1e-15), which
 # the test suite pins at 1e-12.
+#
+# Each level's state is one C-ordered (2, paths, modes) array x, positions
+# in x[0] and velocities in x[1], both contiguous views.  The wave group
+# rotates x in place: tmp = x[::-1] * (sin/mu, -mu sin), x *= cos, x += tmp,
+# element by element the products and sums of ``propagate`` (the velocity's
+# two terms added in swapped order, which IEEE addition allows bit for bit).
+# One finiteness probe reads all of x, and one error state quiets overflow
+# and invalid operations over the whole stepping loop and its observers.
 
 def _sine_synthesis(n_modes: int, p: int) -> np.ndarray:
     """e_n at the interior nodes q/p: entry [n-1, q-1] for n <= n_modes, q < p."""
@@ -274,9 +282,9 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
     Returns a dict with, per path: functional values per level under
     ``"phi"`` and squared pair-space gaps to the first level under
     ``"strong_sq"``; levels[0] acts as the reference when gaps are requested.
-    ``observe(i, k, pos, vel)``, if given, sees the (paths, modes) state
-    arrays of levels[i] at every step k = 0..n_steps/coarsen; they are the
-    engine's buffers, valid only during the call.
+    ``observe(i, k, pos, vel)``, if given, sees the views x[0] and x[1] of
+    levels[i]'s (2, paths, modes) state x at every step k = 0..n_steps/coarsen,
+    inside the engine's error state; they are valid only during the call.
     """
     model, spec, grid = config.model, config.spec, config.grid
     b = len(path_indices)
@@ -296,44 +304,38 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
     dense = pointwise or drift is not None
     if dense:
         synth = _sine_synthesis(max(model.n_modes, m), g + 1)
-
-    states = {}
-    tables = {}
-    scratch = {}
-    for level in levels:
-        pos0 = np.broadcast_to(config.initial.pos[:level], (b, level)).copy()
-        vel0 = np.broadcast_to(config.initial.vel[:level], (b, level)).copy()
-        states[level] = (pos0, vel0)
-        cos_t, sin_t, mu = rotation_tables(model, dt, level)
-        tables[level] = (cos_t, sin_t / mu, -mu * sin_t)
-        scratch[level] = (np.empty_like(pos0), np.empty_like(pos0), np.empty_like(pos0))
-
-    if observe is not None:
-        for i, level in enumerate(levels):
-            observe(i, 0, *states[level])
-
-    if dense:
         u = np.empty((b, g))
         w_vals = np.empty((b, g)) if pointwise else None
         bw = np.empty((b, g)) if pointwise else None
-    # per Anderson level: its grid's weighted noise values (odd/even, step of
-    # the span, path, node), formed by one GEMM pair per span, its mirror-half
-    # tables (``_engine_tables``) and buffers for its odd- and even-mode
-    # coefficients and four left-half fields.  Each level keeps its own pair:
-    # in one GEMM over several grids, BLAS may sum a level's columns in an
-    # order that depends on the other levels
+
+    # per level: (level, x, tmp, cos_t, sines, product); tmp is the rotation's
+    # buffer (its first row also a dense field's) and sines = (sin/mu, -mu sin)
+    # meets x[::-1].  An Anderson product holds its grid's weighted noise
+    # values (odd/even, step of the span, path, node), formed by one GEMM pair
+    # per span, its mirror-half tables (``_engine_tables``) and buffers for its
+    # odd- and even-mode coefficients and four left-half fields.  Each level
+    # keeps its own noise values: in one GEMM over several grids, BLAS may sum
+    # a level's columns in an order that depends on the other levels
     span = max(1, _NOISE_SPAN_BYTES // (8 * b * m))
-    halves = {}
+    runs = []
     noise_maps = []
-    for level in levels if beta != 0.0 else ():
-        nodes = level + min(level, m)
-        h = (nodes + 1) // 2
-        w = np.empty((2, span, b, h))
-        noise_maps.append((*_noise_map(m, nodes), w))
-        buffers = (np.empty((b, (level + 1) // 2)), np.empty((b, level // 2)),
-                   *(np.empty((b, h)) for _ in range(4)))
-        halves[level] = (w, _engine_tables(level, nodes), buffers)
-    if halves:
+    for level in levels:
+        x = np.empty((2, b, level))
+        x[0] = config.initial.pos[:level]
+        x[1] = config.initial.vel[:level]
+        cos_t, sin_t, mu = rotation_tables(model, dt, level)
+        sines = np.stack([sin_t / mu, -mu * sin_t])[:, None, :]
+        product = None
+        if beta != 0.0:
+            nodes = level + min(level, m)
+            h = (nodes + 1) // 2
+            w = np.empty((2, span, b, h))
+            noise_maps.append((*_noise_map(m, nodes), w))
+            buffers = (np.empty((b, (level + 1) // 2)), np.empty((b, level // 2)),
+                       *(np.empty((b, h)) for _ in range(4)))
+            product = (w, _engine_tables(level, nodes), buffers)
+        runs.append((level, x, np.empty_like(x), cos_t, sines, product))
+    if noise_maps:
         dw_odd, dw_even = np.empty((span, b, (m + 1) // 2)), np.empty((span, b, m // 2))
 
     gens = [np.random.default_rng(path_seed(master_seed, idx)) for idx in path_indices]
@@ -342,67 +344,72 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
     block = np.empty((b, burst_fine, m))
     coarse = np.empty((b, burst_fine // coarsen, m)) if coarsen > 1 else None
 
-    k = 0
-    fine_done = 0
-    while fine_done < config.n_steps:
-        n_fine = min(burst_fine, config.n_steps - fine_done)
-        fine = block[:, :n_fine]
-        for row, gen in enumerate(gens):
-            gen.standard_normal(out=fine[row])
-        fine *= sqdt_fine
-        if coarsen > 1:
-            steps = coarse[:, :n_fine // coarsen]
-            np.sum(fine.reshape(b, n_fine // coarsen, coarsen, m), axis=2, out=steps)
-        else:
-            steps = fine
-        fine_done += n_fine
+    # a non-finite coefficient field leaves the rotated state non-finite, so
+    # the one probe per level-step reports it as a blow-up of its path
+    with np.errstate(over="ignore", invalid="ignore"):
+        if observe is not None:
+            for i, (_, x, *_) in enumerate(runs):
+                observe(i, 0, *x)
+        k = 0
+        fine_done = 0
+        while fine_done < config.n_steps:
+            n_fine = min(burst_fine, config.n_steps - fine_done)
+            fine = block[:, :n_fine]
+            for row, gen in enumerate(gens):
+                gen.standard_normal(out=fine[row])
+            fine *= sqdt_fine
+            if coarsen > 1:
+                steps = coarse[:, :n_fine // coarsen]
+                np.sum(fine.reshape(b, n_fine // coarsen, coarsen, m), axis=2, out=steps)
+            else:
+                steps = fine
+            fine_done += n_fine
 
-        n_burst = steps.shape[1]
-        for j in range(n_burst):
-            dwk = steps[:, j]
-            if pointwise:
-                np.matmul(dwk, synth[:m], out=w_vals)
-            s = j % span
-            if halves and s == 0:
-                n = min(span, n_burst - j)
-                rows = steps[:, j:j + n].transpose(1, 0, 2)
-                np.copyto(dw_odd[:n], rows[:, :, 0::2])
-                np.copyto(dw_even[:n], rows[:, :, 1::2])
-                odd_in = dw_odd[:n].reshape(n * b, -1)
-                even_in = dw_even[:n].reshape(n * b, -1)
-                for map_odd, map_even, w in noise_maps:
-                    np.matmul(odd_in, map_odd, out=w[0, :n].reshape(n * b, -1))
-                    np.matmul(even_in, map_even, out=w[1, :n].reshape(n * b, -1))
-            for i, level in enumerate(levels):
-                pos, vel = states[level]
-                new_pos, new_vel, tmp = scratch[level]
-                with np.errstate(over="ignore", invalid="ignore"):
+            n_burst = steps.shape[1]
+            for j in range(n_burst):
+                dwk = steps[:, j]
+                if pointwise:
+                    np.matmul(dwk, synth[:m], out=w_vals)
+                s = j % span
+                if noise_maps and s == 0:
+                    n = min(span, n_burst - j)
+                    rows = steps[:, j:j + n].transpose(1, 0, 2)
+                    np.copyto(dw_odd[:n], rows[:, :, 0::2])
+                    np.copyto(dw_even[:n], rows[:, :, 1::2])
+                    odd_in = dw_odd[:n].reshape(n * b, -1)
+                    even_in = dw_even[:n].reshape(n * b, -1)
+                    for map_odd, map_even, w in noise_maps:
+                        np.matmul(odd_in, map_odd, out=w[0, :n].reshape(n * b, -1))
+                        np.matmul(even_in, map_even, out=w[1, :n].reshape(n * b, -1))
+                for i, (level, x, tmp, cos_t, sines, product) in enumerate(runs):
+                    pos, vel = x
                     if dense:
                         s_level = synth[:level]
+                        field = tmp[0]
                         np.matmul(pos, s_level, out=u)
                     if pointwise:
                         np.multiply(_on_grid(spec.pointwise_b, grid.nodes, u), w_vals, out=bw)
-                        np.matmul(bw, s_level.T, out=tmp)
-                        tmp /= grid.intervals
-                        vel += tmp
-                    if level in halves:
-                        w, (s_odd, s_even, p_odd, p_even), buffers = halves[level]
-                        v_odd, v_even, o_vals, e_vals, x, y = buffers
+                        np.matmul(bw, s_level.T, out=field)
+                        field /= grid.intervals
+                        vel += field
+                    if product is not None:
+                        w, (s_odd, s_even, p_odd, p_even), buffers = product
+                        v_odd, v_even, o_vals, e_vals, b_part, spare = buffers
                         w_odd, w_even = w[0, s], w[1, s]
                         np.copyto(v_odd, pos[:, 0::2])
                         np.copyto(v_even, pos[:, 1::2])
                         np.matmul(v_odd, s_odd, out=o_vals)
                         np.matmul(v_even, s_even, out=e_vals)
                         # B = O_v E_w + E_v O_w, the part odd about x = 1/2
-                        np.multiply(o_vals, w_even, out=x)
-                        np.multiply(e_vals, w_odd, out=y)
-                        x += y
+                        np.multiply(o_vals, w_even, out=b_part)
+                        np.multiply(e_vals, w_odd, out=spare)
+                        b_part += spare
                         # A = O_v O_w + E_v E_w, the even part
                         o_vals *= w_odd
                         e_vals *= w_even
                         o_vals += e_vals
                         np.matmul(o_vals, p_odd, out=v_odd)
-                        np.matmul(x, p_even, out=v_even)
+                        np.matmul(b_part, p_even, out=v_even)
                         if beta != 1.0:
                             v_odd *= beta
                             v_even *= beta
@@ -412,41 +419,32 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
                         kk = min(level, m)
                         vel[:, :kk] += alpha * dwk[:, :kk]
                     if drift is not None:
-                        np.matmul(_on_grid(drift, grid.nodes, u), s_level.T, out=tmp)
-                        tmp /= grid.intervals
-                        tmp *= dt
-                        vel += tmp
-                    # a non-finite field makes the rotated rows non-finite,
-                    # so this one probe names the path of every blow-up
-                    cos_t, sin_over_mu, neg_mu_sin = tables[level]
-                    np.multiply(pos, cos_t, out=new_pos)
-                    np.multiply(vel, sin_over_mu, out=tmp)
-                    new_pos += tmp
-                    np.multiply(pos, neg_mu_sin, out=new_vel)
-                    np.multiply(vel, cos_t, out=tmp)
-                    new_vel += tmp
-                    _raise_if_nonfinite(k, level, path_indices, new_pos, new_vel)
-                states[level] = (new_pos, new_vel)
-                scratch[level] = (pos, vel, tmp)
-                if observe is not None:
-                    observe(i, k + 1, new_pos, new_vel)
-            k += 1
+                        np.matmul(_on_grid(drift, grid.nodes, u), s_level.T, out=field)
+                        field /= grid.intervals
+                        field *= dt
+                        vel += field
+                    # (pos, vel) <- (cos pos + sin/mu vel, cos vel - mu sin pos)
+                    np.multiply(x[::-1], sines, out=tmp)
+                    x *= cos_t
+                    x += tmp
+                    _raise_if_nonfinite(k, level, path_indices, x)
+                    if observe is not None:
+                        observe(i, k + 1, pos, vel)
+                k += 1
 
     out = {}
     if phi is not None:
         out["phi"] = np.column_stack(
-            [phi.evaluate_batch(*states[level], model) for level in levels])
+            [phi.evaluate_batch(*x, model) for _, x, *_ in runs])
     if strong_vs_first:
-        ref_level = levels[0]
-        ref_pos, ref_vel = states[ref_level]
+        ref_level, ref, *_ = runs[0]
         weights = pair_weights(model, ref_level, 0.0)
         gaps = np.empty((b, len(levels) - 1))
-        for j, level in enumerate(levels[1:]):
-            pos, vel = states[level]
-            dp = ref_pos.copy()
-            dp[:, :level] -= pos
-            dv = ref_vel.copy()
-            dv[:, :level] -= vel
+        for j, (level, x, *_) in enumerate(runs[1:]):
+            dp = ref[0].copy()
+            dp[:, :level] -= x[0]
+            dv = ref[1].copy()
+            dv[:, :level] -= x[1]
             gaps[:, j] = pair_norm_sq(dp, dv, *weights)
         out["strong_sq"] = gaps
     return out
@@ -458,15 +456,13 @@ def _on_grid(fn, nodes, v_vals):
     return np.ascontiguousarray(np.broadcast_to(vals, v_vals.shape))
 
 
-def _raise_if_nonfinite(step_index, level, path_indices, pos, vel):
-    """Raise BlowUpError naming the first path whose row of pos or vel is not finite."""
-    # a NaN or infinity poisons the sums; locate precisely only then
-    if math.isfinite(np.add.reduce(pos, None) + np.add.reduce(vel, None)):
-        return
-    finite = np.logical_and.reduce([np.isfinite(f).all(axis=1) for f in (pos, vel)])
-    if not finite.all():
-        bad = int(np.flatnonzero(~finite)[0])
-        raise BlowUpError(step_index, level=level, path_index=path_indices[bad])
+def _raise_if_nonfinite(step_index, level, path_indices, x):
+    """Raise BlowUpError naming the first path with a non-finite entry in x[:, path]."""
+    # a NaN or infinity poisons the sum; locate precisely only then
+    if not math.isfinite(np.add.reduce(x, None)):
+        bad = np.flatnonzero(~np.isfinite(x).all(axis=(0, 2)))
+        if bad.size:
+            raise BlowUpError(step_index, level=level, path_index=path_indices[bad[0]])
 
 
 # mc.run_study's moment monitor calls this here, where perfbench/tracing.py counts it

@@ -137,6 +137,22 @@ class TestSimulatePath:
         assert np.array_equal(a["phi"], b["phi"])
         assert np.array_equal(a["strong_sq"], b["strong_sq"])
 
+    @pytest.mark.parametrize("paths", [range(1), range(2, 5)])
+    def test_zero_spec_is_the_group_bitwise(self, paths):
+        # with no coefficient a step is the rotation alone: every row of every
+        # level, reference first, equals 32 applications of propagate, bit for bit
+        rng = np.random.default_rng(6)
+        cfg = zero_config(initial_pos=rng.standard_normal(8),
+                          initial_vel=rng.standard_normal(8))
+        levels = (8, 2, 4)
+        for level, (pos, vel) in zip(levels, _terminal_states(cfg, levels, paths, 3)):
+            want = sw.PairState(cfg.initial.pos[:level], cfg.initial.vel[:level])
+            for _ in range(cfg.n_steps):
+                want = sw.propagate(want, cfg.dt, cfg.model)
+            for row in range(len(paths)):
+                assert np.array_equal(pos[row], want.pos), level
+                assert np.array_equal(vel[row], want.vel), level
+
     def test_unknown_level_rejected(self):
         cfg = small_anderson_config()
         with pytest.raises(ValueError, match="level 5"):
@@ -467,6 +483,20 @@ class TestBlowUp:
             run_chunk(cfg, (8, 4), range(3, 7), 14)
         assert err.value.level in (4, 8)
         assert err.value.path_index in range(3, 7)
+
+    @pytest.mark.parametrize("case", ["rotation-overflow", "exploding"])
+    def test_chunk_blow_up_is_quiet(self, case):
+        # an overflow in the stepping loop warns nothing; the probe names it
+        if case == "rotation-overflow":
+            # mu sin(mu dt) times 1e308 overflows in the rotation itself
+            cfg = zero_config(initial_pos=np.full(8, 1e308))
+            where = "step 0, level 8, path 3"
+        else:
+            cfg, where = self._exploding_config(), "step 1, level 8, path 3"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(sw.BlowUpError, match=where):
+                run_chunk(cfg, (8, 4), range(3, 7), 14)
 
     @pytest.mark.parametrize("field", ["pointwise_b", "drift"])
     def test_chunk_nonfinite_field_names_path(self, field):
