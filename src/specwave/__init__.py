@@ -12,8 +12,8 @@ from .analysis import (BoundParams, ExponentPair, RateFit, fit_rate,
                        predicted_exponent, theoretical_weak_bound)
 from .coefficients import CoefficientSpec, preset
 from .integrator import BlowUpError, SimConfig, path_seed, step
-from .mc import (ErrorTable, StudyReport, TestFunctional, coordinate,
-                 cos_pairing, estimate_functional, exp_neg_norm, run_study)
+from .mc import (StudyReport, TestFunctional, coordinate, cos_pairing,
+                 estimate_functional, exp_neg_norm, run_study)
 from .propagator import propagate
 from .spectral import (GridWorkspace, PairState, SpectralModel, build_model,
                        hs_norm_lambda_pow, norm_bold_hr, project)
@@ -24,7 +24,7 @@ __all__ = [
     "predicted_exponent", "theoretical_weak_bound",
     "CoefficientSpec", "preset",
     "BlowUpError", "SimConfig", "path_seed", "step",
-    "ErrorTable", "StudyReport", "TestFunctional", "coordinate", "cos_pairing",
+    "StudyReport", "TestFunctional", "coordinate", "cos_pairing",
     "estimate_functional", "exp_neg_norm", "run_study",
     "propagate",
     "GridWorkspace", "PairState", "SpectralModel", "build_model",

@@ -93,7 +93,7 @@ def cmd_simulate(args) -> int:
     w_0 = pair_weights(cfg.model, cfg.n_ref, 0.0)
     w_rho = pair_weights(cfg.model, cfg.n_ref, rho)
     # path 0's (pos, vel) rows are kept _NORM_ROWS steps at a time and their
-    # norms reduced a block at once; the last row is the terminal state
+    # norms reduced a block at once
     k_last = cfg.n_steps
     rows = np.empty((2, _NORM_ROWS, cfg.n_ref))
     norms = np.empty((2, k_last + 1))
@@ -113,10 +113,10 @@ def cmd_simulate(args) -> int:
     # thread as in studies; looked up at call time so that a tracer patched
     # onto mc.run_chunk times it
     with mc._single_blas_thread():
-        mc.run_chunk(cfg, (cfg.n_ref,), range(1), seed, observe=observe)
-    r = k_last % _NORM_ROWS
+        (pos, vel), = mc.run_chunk(cfg, (cfg.n_ref,), range(1), seed,
+                                   observe=observe)["states"]
     terminal = {"level": cfg.n_ref, "t_final": cfg.t_final,
-                "pos": rows[0, r].tolist(), "vel": rows[1, r].tolist()}
+                "pos": pos[0].tolist(), "vel": vel[0].tolist()}
 
     with open(os.path.join(out_dir, "norms.csv"), "w", encoding="utf-8") as fh:
         fh.write("step,t,norm_h0,norm_hrho\n")
@@ -135,8 +135,7 @@ def cmd_convergence(args) -> int:
     seed = args.seed
     n_paths = setup.n_paths if args.paths is None else args.paths
     if n_paths < 2:
-        field = "n_paths" if args.paths is None else "paths"
-        raise ConfigError(field, f"a study needs at least 2 paths, got {n_paths}")
+        raise ConfigError("paths", f"a study needs at least 2 paths, got {n_paths}")
     if args.workers is not None and args.workers < 1:
         raise ConfigError("workers", f"need at least 1 worker, got {args.workers}")
     bounds = None
@@ -155,26 +154,25 @@ def cmd_convergence(args) -> int:
 
     report = run_study(cfg, setup.functional, n_paths, seed,
                        workers=args.workers, monitor_rho=setup.monitor_rho)
-    table = report.table
 
     with open(os.path.join(out_dir, "errors.csv"), "w", encoding="utf-8") as fh:
         fh.write("level,weak_error,weak_stderr,strong_error,strong_stderr,n_paths\n")
-        for i, level in enumerate(table.levels):
-            fh.write(f"{level},{_fmt(table.weak_error[i])},{_fmt(table.weak_stderr[i])},"
-                     f"{_fmt(table.strong_error[i])},{_fmt(table.strong_stderr[i])},"
-                     f"{table.n_paths}\n")
+        for i, level in enumerate(cfg.levels):
+            fh.write(f"{level},{_fmt(report.weak_error[i])},{_fmt(report.weak_stderr[i])},"
+                     f"{_fmt(report.strong_error[i])},{_fmt(report.strong_stderr[i])},"
+                     f"{n_paths}\n")
     _write_manifest(out_dir, args.config, seed, cfg, n_paths)
 
     # refuse to fit noise: every error must clear two standard errors
-    weak_ok = np.abs(table.weak_error) > 2.0 * table.weak_stderr
-    strong_ok = table.strong_error > 2.0 * table.strong_stderr
+    weak_ok = np.abs(report.weak_error) > 2.0 * report.weak_stderr
+    strong_ok = report.strong_error > 2.0 * report.strong_stderr
     if not (np.all(weak_ok) and np.all(strong_ok)):
         print("convergence: error estimates indistinguishable from zero at 2 stderr; "
               "not fitting rates", file=sys.stderr)
         return 4
 
-    weak_fit = fit_rate(list(zip(table.levels, np.abs(table.weak_error))))
-    strong_fit = fit_rate(list(zip(table.levels, table.strong_error)))
+    weak_fit = fit_rate(list(zip(cfg.levels, np.abs(report.weak_error))))
+    strong_fit = fit_rate(list(zip(cfg.levels, report.strong_error)))
 
     # every sentence below is enforced: run_study rejects a reference that does
     # not exceed the study levels, and the noise clause follows the flag
@@ -193,13 +191,13 @@ def cmd_convergence(args) -> int:
         "reference_carries_noise": carries_noise,
         "reference_note": note,
         "master_seed": seed,
-        "n_paths": table.n_paths,
-        "levels": list(table.levels),
+        "n_paths": n_paths,
+        "levels": list(cfg.levels),
         "functional": {"kind": phi.kind, "bounded": phi.bounded,
                        "note": (None if phi.bounded else
                                 "outside the bounded-smooth hypotheses of the theory")},
-        "weak": _rate_block(table.weak_error, table.weak_stderr, weak_fit),
-        "strong": _rate_block(table.strong_error, table.strong_stderr, strong_fit),
+        "weak": _rate_block(report.weak_error, report.weak_stderr, weak_fit),
+        "strong": _rate_block(report.strong_error, report.strong_stderr, strong_fit),
     }
 
     if report.moment_mean is not None:
@@ -210,14 +208,14 @@ def cmd_convergence(args) -> int:
         sup_se = report.moment_stderr[rows, sup_idx]
         out["moment_monitor"] = {
             "rho": setup.monitor_rho,
-            "levels": [cfg.n_ref, *table.levels],
+            "levels": [cfg.n_ref, *cfg.levels],
             "sup_mean_square": [float(v) for v in sup_mean],
             "sup_stderr": [float(v) for v in sup_se],
         }
 
     if bounds is not None:
         d = setup.declared
-        satisfied = bool(np.all(np.abs(table.weak_error) - 3.0 * table.weak_stderr
+        satisfied = bool(np.all(np.abs(report.weak_error) - 3.0 * report.weak_stderr
                                 <= np.asarray(bounds)))
         out["bound"] = {
             "gamma": d["gamma"],

@@ -179,7 +179,7 @@ def load_config(path: str) -> RunSetup:
     if n_ref < 1:
         raise ConfigError("n_ref", f"model.n_ref must be at least 1, got {n_ref}")
     grid_points = _get(model_sec, "model", "grid_points", int, required=False, default=0)
-    model = _wrap(lambda: build_model(theta, n_ref), "theta")
+    model = _wrap(lambda: build_model(theta, n_ref), "theta", "model.")
     initial_sec = _get(model_sec, "model", "initial", dict, required=False,
                        default={"pos": {}, "vel": {}})
     _only(initial_sec, "model.initial.", ("pos", "vel"))
@@ -219,15 +219,19 @@ def load_config(path: str) -> RunSetup:
         raise ConfigError("levels", f"study.levels must be at least 1, strictly ascending "
                                     f"and below model.n_ref={n_ref}, got {levels}")
     n_paths = _get(study_sec, "study", "n_paths", int, required=False, default=1000)
+    if n_paths < 2:
+        raise ConfigError("n_paths", f"study.n_paths must be at least 2, got {n_paths}")
     monitor_rho = _get(study_sec, "study", "rho_monitor", float, required=False, default=0.0)
     # the moment monitor squares the weighted norms, so a weight must square
-    # within float range
-    with np.errstate(over="ignore"):
-        squares = [w * w for w in pair_weights(model, n_ref, monitor_rho)]
-    if not all(np.isfinite(sq).all() for sq in squares):
-        raise ConfigError("rho_monitor", f"study.rho_monitor {monitor_rho} overflows the "
-                                         f"squared pair-space weights of model.n_ref={n_ref} "
-                                         f"modes")
+    # within float range; at rho = 0 only the velocity weight 1/|lam| can
+    # overflow, and it depends on theta alone
+    for key, given, rho in (("theta", f"model.theta {theta}", 0.0),
+                            ("rho_monitor", f"study.rho_monitor {monitor_rho}", monitor_rho)):
+        with np.errstate(over="ignore"):
+            squares = [w * w for w in pair_weights(model, n_ref, rho)]
+        if not all(np.isfinite(sq).all() for sq in squares):
+            raise ConfigError(key, f"{given} overflows the squared pair-space weights of "
+                                   f"model.n_ref={n_ref} modes")
     functional = _functional(study_sec.get("functional", {"kind": "exp_neg_norm"}), n_ref)
 
     out_sec = _section(raw, "output", ("directory",), required=False)
@@ -239,11 +243,11 @@ def load_config(path: str) -> RunSetup:
     return RunSetup(config, functional, n_paths, monitor_rho, declared, out_dir)
 
 
-def _wrap(builder, field):
+def _wrap(builder, field, prefix=""):
     try:
         return builder()
     except ValueError as exc:
-        raise ConfigError(field, str(exc)) from None
+        raise ConfigError(field, f"{prefix}{exc}") from None
 
 
 # the parameters each preset or kind name takes

@@ -279,12 +279,14 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
               strong_vs_first: bool = False, observe=None):
     """Advance one block of coupled paths through all requested levels.
 
-    Returns a dict with, per path: functional values per level under
-    ``"phi"`` and squared pair-space gaps to the first level under
-    ``"strong_sq"``; levels[0] acts as the reference when gaps are requested.
-    ``observe(i, k, pos, vel)``, if given, sees the views x[0] and x[1] of
-    levels[i]'s (2, paths, modes) state x at every step k = 0..n_steps/coarsen,
-    inside the engine's error state; they are valid only during the call.
+    Returns a dict holding, per level, the terminal (pos, vel) under
+    ``"states"``: the views x[0] and x[1] of its (2, paths, modes) state x,
+    one row per path, not copies.  ``phi`` adds the functional values per
+    path and level under ``"phi"``; ``strong_vs_first`` the squared
+    pair-space gaps to levels[0], the reference, under ``"strong_sq"``.
+    ``observe(i, k, pos, vel)``, if given, sees the same views of levels[i]'s
+    state at every step k = 0..n_steps/coarsen, inside the engine's error
+    state; they are valid only during the call.
     """
     model, spec, grid = config.model, config.spec, config.grid
     b = len(path_indices)
@@ -432,19 +434,19 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
                         observe(i, k + 1, pos, vel)
                 k += 1
 
-    out = {}
+    states = [(x[0], x[1]) for _, x, *_ in runs]
+    out = {"states": states}
     if phi is not None:
-        out["phi"] = np.column_stack(
-            [phi.evaluate_batch(*x, model) for _, x, *_ in runs])
+        out["phi"] = np.column_stack([phi.evaluate_batch(*st, model) for st in states])
     if strong_vs_first:
-        ref_level, ref, *_ = runs[0]
-        weights = pair_weights(model, ref_level, 0.0)
+        ref_pos, ref_vel = states[0]
+        weights = pair_weights(model, levels[0], 0.0)
         gaps = np.empty((b, len(levels) - 1))
-        for j, (level, x, *_) in enumerate(runs[1:]):
-            dp = ref[0].copy()
-            dp[:, :level] -= x[0]
-            dv = ref[1].copy()
-            dv[:, :level] -= x[1]
+        for j, (level, (pos, vel)) in enumerate(zip(levels[1:], states[1:])):
+            dp = ref_pos.copy()
+            dp[:, :level] -= pos
+            dv = ref_vel.copy()
+            dv[:, :level] -= vel
             gaps[:, j] = pair_norm_sq(dp, dv, *weights)
         out["strong_sq"] = gaps
     return out

@@ -53,7 +53,6 @@ __all__ = [
     "exp_neg_norm",
     "cos_pairing",
     "coordinate",
-    "ErrorTable",
     "StudyReport",
     "estimate_functional",
     "run_study",
@@ -110,22 +109,13 @@ def coordinate(mode: int, component: str) -> TestFunctional:
 
 
 @dataclass(frozen=True)
-class ErrorTable:
-    """Per-level coupled Monte Carlo errors; path count shared by design."""
+class StudyReport:
+    """One study's results, errors in ``config.levels`` order; inputs stay with the caller."""
 
-    levels: tuple[int, ...]
     weak_error: np.ndarray     # signed mean of D_i
     weak_stderr: np.ndarray
     strong_error: np.ndarray   # sqrt(mean S_i)
     strong_stderr: np.ndarray
-    n_paths: int
-
-
-@dataclass(frozen=True)
-class StudyReport:
-    """The results of one study; its inputs stay with the caller."""
-
-    table: ErrorTable
     # second-moment monitor, levels ordered (reference, *study levels):
     # mean and standard error of ||X_k||^2 at every time-grid point
     moment_mean: np.ndarray | None
@@ -238,7 +228,8 @@ def run_study(config: SimConfig, phi: TestFunctional, n_paths: int,
     Errors are measured against ``config.n_ref``, which must exceed every
     study level.  The reference is free of the noise-truncation bias only
     when it carries every noise mode, ``config.n_ref >= config.m_noise``;
-    a coarser reference is accepted and reports disclose it.
+    a coarser reference is accepted and reports disclose it.  The report's
+    error arrays hold one entry per ``config.levels`` entry, in that order.
 
     ``workers`` path blocks run at once (None: one per usable CPU); the
     results do not depend on it.
@@ -288,6 +279,5 @@ def run_study(config: SimConfig, phi: TestFunctional, n_paths: int,
         var = np.maximum(sums[..., 1] / n_paths - moment_mean**2, 0.0)
         moment_stderr = np.sqrt(var * (n_paths / (n_paths - 1)) / n_paths)
 
-    table = ErrorTable(config.levels, weak, weak_se, strong, strong_se, n_paths)
-    return StudyReport(table, moment_mean, moment_stderr)
+    return StudyReport(weak, weak_se, strong, strong_se, moment_mean, moment_stderr)
 

@@ -77,7 +77,11 @@ def build_model(theta: float, n_modes: int) -> SpectralModel:
     if n_modes < 1:
         raise ValueError(f"n_modes must be at least 1, got {n_modes}")
     n = np.arange(1, n_modes + 1, dtype=np.float64)
-    lam = -theta * np.pi**2 * n**2
+    with np.errstate(over="ignore"):
+        lam = -theta * np.pi**2 * n**2
+    if not np.isfinite(lam[-1]):  # the largest in magnitude
+        raise ValueError(f"theta {theta} overflows the eigenvalue -theta pi^2 n^2 "
+                         f"of mode {n_modes}")
     return SpectralModel(float(theta), n_modes, _readonly(lam), _readonly(np.sqrt(-lam)))
 
 

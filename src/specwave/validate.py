@@ -45,7 +45,7 @@ def check_isometry():
 
 def check_zero_spec_reduces_to_group():
     cfg = _small_config(coefficients.preset("zero"))
-    (pos, vel), = _terminal_states(cfg, (cfg.n_ref,), range(1), 7)
+    (pos, vel), = integrator.run_chunk(cfg, (cfg.n_ref,), range(1), 7)["states"]
     exact = propagator.propagate(cfg.initial, cfg.t_final, cfg.model)
     err = max(np.max(np.abs(pos[0] - exact.pos)), np.max(np.abs(vel[0] - exact.vel)))
     _require(err < 1e-10, "zero-coefficient path deviates from the group")
@@ -53,8 +53,8 @@ def check_zero_spec_reduces_to_group():
 
 def check_path_determinism():
     cfg = _small_config(coefficients.preset("anderson"))
-    a = _terminal_states(cfg, (cfg.n_ref, 4), range(3), 11)
-    b = _terminal_states(cfg, (cfg.n_ref, 4), range(3), 11)
+    a, b = (integrator.run_chunk(cfg, (cfg.n_ref, 4), range(3), 11)["states"]
+            for _ in range(2))
     _require(all(np.array_equal(x, y) for sa, sb in zip(a, b) for x, y in zip(sa, sb)),
              "same seed produced different paths")
 
@@ -71,7 +71,7 @@ def check_exact_product():
                                m_noise=7, spec=coefficients.preset("anderson"),
                                initial=initial)
     levels = (cfg.n_ref, 4)
-    batched = _terminal_states(cfg, levels, range(3), 17)
+    batched = integrator.run_chunk(cfg, levels, range(3), 17)["states"]
     triple = _triple_product(cfg.m_noise, cfg.n_ref)
     for row in range(3):
         # run_chunk's draw for one step of the path
@@ -102,18 +102,6 @@ def _triple_product(m_noise, n_modes):
         return np.where(odd, 2.0 / (np.pi * np.where(odd, p, 1)), 0.0)
 
     return np.sqrt(0.5) * (g(j + n - k) + g(n + k - j) + g(k + j - n) - g(j + n + k))
-
-
-def _terminal_states(cfg, levels, paths, seed):
-    """Terminal (pos, vel) arrays of ``run_chunk``, one pair per level."""
-    states = [None] * len(levels)
-
-    def keep(i, k, pos, vel):
-        if k == cfg.n_steps:
-            states[i] = (pos.copy(), vel.copy())
-
-    integrator.run_chunk(cfg, levels, paths, seed, observe=keep)
-    return states
 
 
 def _small_config(spec) -> integrator.SimConfig:

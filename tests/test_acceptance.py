@@ -168,7 +168,7 @@ def test_criterion_6_hilbert_schmidt_norm():
 
 
 def test_criterion_7_time_step_dominance(study):
-    half = study["halved"].result().table.weak_error
+    half = study["halved"].result().weak_error
     full = np.asarray(study["report"]["weak"]["errors"])
     rel = np.abs(half - full) / np.abs(full)
     ok = bool(np.all(rel < 1.0 / 3.0))

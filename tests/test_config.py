@@ -208,14 +208,21 @@ def test_non_finite_number_exits_two(tmp_path, capsys, section, key, value, fiel
     ("model", "n_ref", 0),
     ("study", "rho_monitor", 200.0),
     ("study", "rho_monitor", 80.0),
+    ("model", "theta", 1e307),
+    ("model", "theta", 1e-200),
+    ("study", "n_paths", 1),
 ], ids=["t_final-zero", "n_steps-zero", "m_noise-zero", "grid_points-below-n_ref",
-        "n_ref-zero", "rho_monitor-overflows-weights", "rho_monitor-overflows-squared-weights"])
+        "n_ref-zero", "rho_monitor-overflows-weights", "rho_monitor-overflows-squared-weights",
+        "theta-overflows-eigenvalues", "theta-overflows-squared-weights", "n_paths-one"])
 def test_out_of_range_value_names_its_key(tmp_path, capsys, section, key, value):
     # each used to be reported on field model, and n_ref as "n_modes" on
     # theta; a rho_monitor whose weights |lam|^rho overflow used to write
     # nan and inf norm rows with exit 0, and one whose weights are finite
     # (about 1e224 at n_ref 8 and rho 80) but overflow when squared made the
-    # moment monitor overflow (NaN stderrs, exit 0, on a 64-mode flagship)
+    # moment monitor overflow (NaN stderrs, exit 0, on a 64-mode flagship).
+    # A theta of 1e307, whose eigenvalues overflow, used to exit 3 as a
+    # blow-up at step 0; one of 1e-200, whose velocity weights 1/|lam| overflow
+    # when squared, was blamed on rho_monitor; n_paths 1 let simulate exit 0
     cfg = _write(tmp_path, _with(**{section: {**ZERO_SMOKE[section], key: value}}))
     with pytest.raises(ConfigError) as err:
         load_config(cfg)

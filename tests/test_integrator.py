@@ -12,7 +12,6 @@ from specwave import integrator
 from specwave.coefficients import diffusion_vel, drift_vel
 from specwave.config import load_config
 from specwave.integrator import run_chunk
-from specwave.validate import _terminal_states
 
 from conftest import expected_row, phi_at, small_anderson_config, step_loop, zero_config
 
@@ -145,7 +144,7 @@ class TestSimulatePath:
         cfg = zero_config(initial_pos=rng.standard_normal(8),
                           initial_vel=rng.standard_normal(8))
         levels = (8, 2, 4)
-        for level, (pos, vel) in zip(levels, _terminal_states(cfg, levels, paths, 3)):
+        for level, (pos, vel) in zip(levels, run_chunk(cfg, levels, paths, 3)["states"]):
             want = sw.PairState(cfg.initial.pos[:level], cfg.initial.vel[:level])
             for _ in range(cfg.n_steps):
                 want = sw.propagate(want, cfg.dt, cfg.model)
@@ -168,7 +167,7 @@ class TestSimulatePath:
                            spec=sw.preset("additive-heat-kick", sigma=sigma),
                            initial=sw.PairState(np.zeros(n), np.zeros(n)))
         paths = range(3)
-        (pos, vel), = _terminal_states(cfg, (level,), paths, 41)
+        (pos, vel), = run_chunk(cfg, (level,), paths, 41)["states"]
         k = min(level, m)
         for row, idx in enumerate(paths):
             rng = np.random.default_rng(sw.path_seed(41, idx))
@@ -241,6 +240,32 @@ class TestSimulateCoupled:
         assert gaps[0] > gaps[1] > gaps[2]
 
 
+class TestTerminalStates:
+    """run_chunk's "states" are the state an observer sees at the last step."""
+
+    @pytest.mark.parametrize("preset", ["zero", "anderson"])
+    @pytest.mark.parametrize("coarsen", [1, 2])
+    @pytest.mark.parametrize("paths", [range(1), range(2, 5)], ids=["1-path", "3-paths"])
+    def test_states_are_the_observed_last_step(self, preset, coarsen, paths):
+        cfg = dataclasses.replace(small_anderson_config(n_ref=16, levels=(4, 8), n_steps=16,
+                                                        m_noise=8), spec=sw.preset(preset))
+        levels = (cfg.n_ref, *cfg.levels)
+        last = {}
+
+        def keep(i, k, pos, vel):
+            if k == cfg.n_steps // coarsen:
+                last[i] = (pos.copy(), vel.copy())
+
+        observed = run_chunk(cfg, levels, paths, 13, coarsen=coarsen, observe=keep)["states"]
+        unobserved = run_chunk(cfg, levels, paths, 13, coarsen=coarsen)["states"]
+        assert len(observed) == len(unobserved) == len(levels) == len(last)
+        for i, level in enumerate(levels):
+            for got in (observed[i], unobserved[i]):
+                assert all(a.shape == (len(paths), level) for a in got)
+                assert np.array_equal(got[0], last[i][0]), level
+                assert np.array_equal(got[1], last[i][1]), level
+
+
 class TestPairNormBits:
     """exp_neg_norm and the strong gaps, bit for bit against the inline r = 0
     form sum pos^2 + sum vel^2 / |lam| of ``_h0_sq`` (step_loop pins them to 1e-12)."""
@@ -248,14 +273,9 @@ class TestPairNormBits:
     def test_functional_and_gaps(self):
         cfg = small_anderson_config(n_steps=16)
         levels = (cfg.n_ref, *cfg.levels)
-        final = {}
-
-        def keep(i, k, pos, vel):
-            if k == cfg.n_steps:
-                final[levels[i]] = (pos.copy(), vel.copy())
-
         out = run_chunk(cfg, levels, range(7), 19, phi=sw.exp_neg_norm(),
-                        strong_vs_first=True, observe=keep)
+                        strong_vs_first=True)
+        final = dict(zip(levels, out["states"]))
         h0_sq = _h0_sq().evaluate_batch
         want = [np.exp(-h0_sq(*final[level], cfg.model)) for level in levels]
         assert np.array_equal(out["phi"], np.column_stack(want))
@@ -350,7 +370,7 @@ class TestOwnGrid:
     def test_matches_step_loop(self, n_ref, m_noise, grid_points, levels, spec):
         cfg = self._config(n_ref, m_noise, grid_points, levels, spec)
         paths = range(2, 5)
-        states = _terminal_states(cfg, levels, paths, 23)
+        states = run_chunk(cfg, levels, paths, 23)["states"]
         for row, idx in enumerate(paths):
             want = step_loop(cfg, 23, idx)
             for level, (pos, vel) in zip(levels, states):
@@ -421,13 +441,8 @@ class TestNoiseSpans:
 
     @staticmethod
     def _final_states(cfg, levels, paths, seed, coarsen=1):
-        states = {}
-
-        def keep(i, k, pos, vel):
-            states[levels[i]] = (pos.copy(), vel.copy())
-
-        run_chunk(cfg, levels, paths, seed, coarsen=coarsen, observe=keep)
-        return states
+        return dict(zip(levels, run_chunk(cfg, levels, paths, seed,
+                                          coarsen=coarsen)["states"]))
 
     @pytest.mark.parametrize("n_ref, m_noise, grid_points, levels, n_steps, coarsen", [
         # 50 steps in bursts of 11: spans of 4, 4, 3 and, in the last burst, 4, 2

@@ -88,44 +88,44 @@ class TestWeakStrongStudy:
         init = np.zeros(8)
         init[0] = 1.0
         cfg = zero_config(levels=(2, 4, 6), initial_pos=init)
-        table = sw.run_study(cfg, sw.exp_neg_norm(), 16, 6, monitor_rho=None).table
-        assert np.all(table.weak_error == 0.0)
-        assert np.all(table.strong_error == 0.0)
-        assert np.all(table.weak_stderr == 0.0)
+        report = sw.run_study(cfg, sw.exp_neg_norm(), 16, 6, monitor_rho=None)
+        assert np.all(report.weak_error == 0.0)
+        assert np.all(report.strong_error == 0.0)
+        assert np.all(report.weak_stderr == 0.0)
 
     def test_deterministic_tail_gives_exact_strong_error(self):
         init = np.zeros(8)
         init[7] = 1.0  # all mass above every kept level
         cfg = zero_config(levels=(2, 4, 6), initial_pos=init)
-        table = sw.run_study(cfg, sw.exp_neg_norm(), 16, 7, monitor_rho=None).table
+        report = sw.run_study(cfg, sw.exp_neg_norm(), 16, 7, monitor_rho=None)
         # the group is an isometry, so the propagated tail keeps unit norm
-        assert np.allclose(table.strong_error, 1.0, atol=1e-12)
-        assert np.all(table.strong_stderr == 0.0)
+        assert np.allclose(report.strong_error, 1.0, atol=1e-12)
+        assert np.all(report.strong_stderr == 0.0)
 
     def test_monotone_error_decay(self):
         cfg = small_anderson_config()
-        table = sw.run_study(cfg, sw.exp_neg_norm(), 600, 8, monitor_rho=None).table
-        assert np.all(np.diff(np.abs(table.weak_error)) < 0)
-        assert np.all(np.diff(table.strong_error) < 0)
+        report = sw.run_study(cfg, sw.exp_neg_norm(), 600, 8, monitor_rho=None)
+        assert np.all(np.diff(np.abs(report.weak_error)) < 0)
+        assert np.all(np.diff(report.strong_error) < 0)
 
     def test_coupled_stderr_beats_uncoupled(self):
         cfg = small_anderson_config()
         phi = sw.exp_neg_norm()
-        table = sw.run_study(cfg, phi, 1000, 9, monitor_rho=None).table
+        report = sw.run_study(cfg, phi, 1000, 9, monitor_rho=None)
         _, se_ref = sw.estimate_functional(phi, cfg, 32, 1000, 10)
         _, se_lo = sw.estimate_functional(phi, cfg, 8, 1000, 11)
         uncoupled = math.hypot(se_ref, se_lo)
         i = cfg.levels.index(8)
-        assert table.weak_stderr[i] <= uncoupled
+        assert report.weak_stderr[i] <= uncoupled
 
     def test_worker_count_invisible(self):
         cfg = small_anderson_config()
-        tables = [sw.run_study(cfg, sw.exp_neg_norm(), 700, 12, workers=w,
-                               monitor_rho=0.0) for w in (1, 3)]
-        assert np.array_equal(tables[0].table.weak_error, tables[1].table.weak_error)
-        assert np.array_equal(tables[0].table.weak_stderr, tables[1].table.weak_stderr)
-        assert np.array_equal(tables[0].table.strong_error, tables[1].table.strong_error)
-        assert np.array_equal(tables[0].moment_mean, tables[1].moment_mean)
+        reports = [sw.run_study(cfg, sw.exp_neg_norm(), 700, 12, workers=w,
+                                monitor_rho=0.0) for w in (1, 3)]
+        assert np.array_equal(reports[0].weak_error, reports[1].weak_error)
+        assert np.array_equal(reports[0].weak_stderr, reports[1].weak_stderr)
+        assert np.array_equal(reports[0].strong_error, reports[1].strong_error)
+        assert np.array_equal(reports[0].moment_mean, reports[1].moment_mean)
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_nonpositive_workers_rejected(self, workers):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,11 @@ class TestBuildModel:
             sw.build_model(-1.0, 4)
         with pytest.raises(ValueError):
             sw.build_model(1.0, 0)
+        # -theta pi^2 n^2 overflows from mode 2 on: rejected without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="theta 1e\\+307 overflows"):
+                sw.build_model(1e307, 8)
 
 
 def _eval_field(coeffs, points):
