@@ -23,8 +23,7 @@ import numpy as np
 
 from . import __version__, mc
 from .analysis import fit_rate, predicted_exponent, theoretical_weak_bound
-from .config import (ConfigError, bound_params_from_declared, config_digest,
-                     load_bound_params, load_config)
+from .config import ConfigError, bound_params_from_declared, load_bound_params, load_config
 from .integrator import BlowUpError, SimConfig
 from .integrator import step  # noqa: F401  perfbench/tracing.py counts specwave.cli.step
 from .mc import run_study
@@ -61,10 +60,10 @@ def _write_json(path: str, obj) -> None:
         fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _write_manifest(out_dir: str, config_path: str, seed: int, cfg: SimConfig,
+def _write_manifest(out_dir: str, digest: str, seed: int, cfg: SimConfig,
                     n_paths: int) -> None:
     _write_json(os.path.join(out_dir, "manifest.json"), {
-        "config_sha256": config_digest(config_path),
+        "config_sha256": digest,
         "master_seed": seed,
         "levels": list(cfg.levels),
         "m_noise": cfg.m_noise,
@@ -109,12 +108,10 @@ def cmd_simulate(args) -> int:
             norms[1, block] = (norms[0, block] if rho == 0.0 else
                                np.sqrt(pair_norm_sq(*done, *w_rho)))
 
-    # the one simulated path is path 0 at the reference level, on one BLAS
-    # thread as in studies; looked up at call time so that a tracer patched
-    # onto mc.run_chunk times it
-    with mc._single_blas_thread():
-        (pos, vel), = mc.run_chunk(cfg, (cfg.n_ref,), range(1), seed,
-                                   observe=observe)["states"]
+    # the one simulated path is path 0 at the reference level; looked up at
+    # call time so that a tracer patched onto mc.run_chunk times it
+    (pos, vel), = mc.run_chunk(cfg, (cfg.n_ref,), range(1), seed,
+                               observe=observe)["states"]
     terminal = {"level": cfg.n_ref, "t_final": cfg.t_final,
                 "pos": pos[0].tolist(), "vel": vel[0].tolist()}
 
@@ -123,7 +120,7 @@ def cmd_simulate(args) -> int:
         fh.write("".join(f"{k},{k * cfg.dt!r},{n0!r},{nr!r}\n"
                          for k, (n0, nr) in enumerate(norms.T.tolist())))
     _write_json(os.path.join(out_dir, "state.json"), terminal)
-    _write_manifest(out_dir, args.config, seed, cfg, 1)
+    _write_manifest(out_dir, setup.digest, seed, cfg, 1)
     return 0
 
 
@@ -144,9 +141,9 @@ def cmd_convergence(args) -> int:
         # bound evaluated at every level, before the first path runs
         params, expo = bound_params_from_declared(setup)
         try:
-            bounds = [theoretical_weak_bound(params(
-                lambda_cut=float(cfg.model.theta * np.pi**2 * (level + 1) ** 2)))
-                for level in cfg.levels]
+            # lambda_cut of level L is |lam| of mode L + 1, lam[L]
+            bounds = [theoretical_weak_bound(params(lambda_cut=float(-cfg.model.lam[level])))
+                      for level in cfg.levels]
         except ValueError as exc:
             raise ConfigError("declared_norms", str(exc)) from None
     out_dir = args.out or setup.out_dir or "."
@@ -161,7 +158,7 @@ def cmd_convergence(args) -> int:
             fh.write(f"{level},{_fmt(report.weak_error[i])},{_fmt(report.weak_stderr[i])},"
                      f"{_fmt(report.strong_error[i])},{_fmt(report.strong_stderr[i])},"
                      f"{n_paths}\n")
-    _write_manifest(out_dir, args.config, seed, cfg, n_paths)
+    _write_manifest(out_dir, setup.digest, seed, cfg, n_paths)
 
     # refuse to fit noise: every error must clear two standard errors
     weak_ok = np.abs(report.weak_error) > 2.0 * report.weak_stderr
@@ -200,18 +197,17 @@ def cmd_convergence(args) -> int:
         "strong": _rate_block(report.strong_error, report.strong_stderr, strong_fit),
     }
 
-    if report.moment_mean is not None:
-        # each level's sup over the time grid of the mean square, and its stderr
-        rows = np.arange(report.moment_mean.shape[0])
-        sup_idx = report.moment_mean.argmax(axis=1)
-        sup_mean = report.moment_mean[rows, sup_idx]
-        sup_se = report.moment_stderr[rows, sup_idx]
-        out["moment_monitor"] = {
-            "rho": setup.monitor_rho,
-            "levels": [cfg.n_ref, *cfg.levels],
-            "sup_mean_square": [float(v) for v in sup_mean],
-            "sup_stderr": [float(v) for v in sup_se],
-        }
+    # each level's sup over the time grid of the mean square, and its stderr
+    rows = np.arange(report.moment_mean.shape[0])
+    sup_idx = report.moment_mean.argmax(axis=1)
+    sup_mean = report.moment_mean[rows, sup_idx]
+    sup_se = report.moment_stderr[rows, sup_idx]
+    out["moment_monitor"] = {
+        "rho": setup.monitor_rho,
+        "levels": [cfg.n_ref, *cfg.levels],
+        "sup_mean_square": [float(v) for v in sup_mean],
+        "sup_stderr": [float(v) for v in sup_se],
+    }
 
     if bounds is not None:
         d = setup.declared
@@ -226,7 +222,7 @@ def cmd_convergence(args) -> int:
             "n_exponent": expo.n_exponent,
             "dominates_measured": satisfied,
         }
-        if "moment_f_lip" in d and report.moment_mean is not None:
+        if "moment_f_lip" in d:
             env = max(1.0, norm_bold_hr(cfg.initial, setup.monitor_rho, cfg.model)) \
                 * float(np.exp(cfg.t_final * (d["moment_f_lip"]
                                               + 0.5 * d["moment_b_hs"] ** 2)))
@@ -322,6 +318,10 @@ def main(argv=None) -> int:
     except BlowUpError as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        # a size no check above bounds, such as time.n_steps or --paths
+        print(f"config error: {ConfigError('config', str(exc))}", file=sys.stderr)
+        return 2
 
 
 def entrypoint() -> None:

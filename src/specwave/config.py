@@ -33,7 +33,6 @@ __all__ = [
     "compile_expression",
     "load_config",
     "load_bound_params",
-    "config_digest",
 ]
 
 
@@ -150,7 +149,10 @@ def _coeff_vector(mapping: dict, n_modes: int, field: str) -> np.ndarray:
         try:
             mode = int(key)
         except ValueError:
-            raise ConfigError(field, f"mode keys must be integers, got {key!r}") from None
+            mode = None
+        # int() also reads "01", " 1", "+1" and "1_0"
+        if mode is None or str(mode) != key:
+            raise ConfigError(field, f"mode keys must be plain integers, got {key!r:.40}")
         if not 1 <= mode <= n_modes:
             raise ConfigError(field, f"mode {mode} outside 1..{n_modes}")
         out[mode - 1] = _number(val, field, f"{field} mode {mode}")
@@ -167,10 +169,11 @@ class RunSetup:
     monitor_rho: float
     declared: dict | None  # checked declared norms, defaults filled in
     out_dir: str | None
+    digest: str  # sha256 of the config file's bytes, the ones parsed
 
 
 def load_config(path: str) -> RunSetup:
-    raw = _load_json(path)
+    raw, digest = _load_json(path)
     _only(raw, "", ("model", "time", "noise", "coefficients", "study", "output"))
 
     model_sec = _section(raw, "model", ("theta", "n_ref", "grid_points", "initial"))
@@ -179,7 +182,7 @@ def load_config(path: str) -> RunSetup:
     if n_ref < 1:
         raise ConfigError("n_ref", f"model.n_ref must be at least 1, got {n_ref}")
     grid_points = _get(model_sec, "model", "grid_points", int, required=False, default=0)
-    model = _wrap(lambda: build_model(theta, n_ref), "theta", "model.")
+    model = _wrap(lambda: build_model(theta, n_ref), "theta", "model.", "model.n_ref")
     initial_sec = _get(model_sec, "model", "initial", dict, required=False,
                        default={"pos": {}, "vel": {}})
     _only(initial_sec, "model.initial.", ("pos", "vel"))
@@ -237,17 +240,27 @@ def load_config(path: str) -> RunSetup:
     out_sec = _section(raw, "output", ("directory",), required=False)
     out_dir = _get(out_sec, "output", "directory", str, required=False)
 
-    # every input SimConfig checks was checked above, under its own key
-    config = SimConfig(model=model, levels=tuple(levels), t_final=t_final, n_steps=n_steps,
-                       m_noise=m_noise, spec=spec, initial=initial, grid_points=grid_points)
-    return RunSetup(config, functional, n_paths, monitor_rho, declared, out_dir)
+    # every input SimConfig checks was checked above, under its own key; its
+    # grid has grid_points nodes, or by default 4 * max(n_ref, m_noise)
+    sized_by = ("model.grid_points" if grid_points else
+                "model.n_ref" if n_ref >= m_noise else "noise.m_noise")
+    config = _wrap(lambda: SimConfig(
+        model=model, levels=tuple(levels), t_final=t_final, n_steps=n_steps, m_noise=m_noise,
+        spec=spec, initial=initial, grid_points=grid_points), "config", "", sized_by)
+    return RunSetup(config, functional, n_paths, monitor_rho, declared, out_dir, digest)
 
 
-def _wrap(builder, field, prefix=""):
+def _wrap(builder, field, prefix="", sized_by=None):
+    """builder(); its ValueError a ConfigError on field, its MemoryError one on
+    the key of sized_by, the section.key of the size that could not be allocated."""
     try:
         return builder()
     except ValueError as exc:
         raise ConfigError(field, f"{prefix}{exc}") from None
+    except MemoryError as exc:
+        if sized_by is None:
+            raise
+        raise ConfigError(sized_by.split(".")[1], f"{sized_by} too large: {exc}") from None
 
 
 # the parameters each preset or kind name takes
@@ -351,7 +364,7 @@ def _functional(sec: dict, n_ref: int) -> mc.TestFunctional:
 
 def load_bound_params(path: str) -> BoundParams:
     """Read every BoundParams field, in field order, from a flat JSON object."""
-    raw = _load_json(path)
+    raw, _ = _load_json(path)
     names = [f.name for f in dataclasses.fields(BoundParams)]
     _only(raw, "", names)
     values = {}
@@ -393,20 +406,30 @@ def bound_params_from_declared(setup: RunSetup) -> tuple[partial, ExponentPair]:
     return params, exponents
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str) -> tuple[dict, str]:
+    """The JSON object in the file at path, and the sha256 of the bytes read."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError("config", f"config file not found: {path}") from None
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ConfigError("config", f"cannot read {path}: {exc.strerror}") from None
+    try:
+        raw = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
+    except ConfigError:
+        raise
     except ValueError as exc:
         # also an integer longer than int's string limit, or bytes not UTF-8
         raise ConfigError("config", f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config", "config root must be an object")
-    return raw
+    return raw, hashlib.sha256(data).hexdigest()
 
 
-def config_digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict; json itself keeps the last of equal keys."""
+    obj = {}
+    for key, val in pairs:
+        if key in obj:
+            raise ConfigError(key, f"duplicate key {key!r}")
+        obj[key] = val
+    return obj

@@ -20,7 +20,12 @@ step count.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -265,6 +270,49 @@ def _noise_map(m_noise: int, nodes: int):
     return _parity_rows(noise, h, weights)
 
 
+@lru_cache(maxsize=1)
+def _blas_thread_api():
+    """(get, set) thread-count functions of numpy's bundled scipy-openblas64.
+
+    None when numpy links some other BLAS; the pin is then a no-op.
+    """
+    libdir = os.path.dirname(np.__file__) + ".libs"
+    for path in glob.glob(os.path.join(libdir, "libscipy_openblas64_*")):
+        lib = ctypes.CDLL(path)
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+# the BLAS thread count is process-wide: concurrent runs share one pin, and
+# the last to finish restores the count found by the first
+_blas_lock = threading.Lock()
+_blas_holders = 0
+_blas_saved = 0
+
+
+@contextmanager
+def _single_blas_thread():
+    """Hold numpy's OpenBLAS to one thread; a no-op when it cannot be found."""
+    global _blas_holders, _blas_saved
+    get, put = _blas_thread_api() or (lambda: 1, lambda n: None)
+    with _blas_lock:
+        if _blas_holders == 0:
+            _blas_saved = get()
+            put(1)
+        _blas_holders += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_holders -= 1
+            if _blas_holders == 0:
+                put(_blas_saved)
+
+
 # noise is streamed in bursts of at most this many bytes (and at least one
 # step) through one buffer per call; values are identical to drawing the
 # whole block at once
@@ -274,10 +322,21 @@ _NOISE_BURST_BYTES = 8 << 20
 _NOISE_SPAN_BYTES = 256 << 10
 
 
+def _coarse_steps(n_steps: int, coarsen: int) -> int:
+    """The step count n_steps / coarsen of a run coarsened by that factor."""
+    if coarsen < 1 or n_steps % coarsen:
+        raise ValueError(f"coarsen={coarsen} must be a positive divisor of n_steps={n_steps}")
+    return n_steps // coarsen
+
+
+@_single_blas_thread()
 def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
               master_seed: int, *, coarsen: int = 1, phi=None,
               strong_vs_first: bool = False, observe=None):
     """Advance one block of coupled paths through all requested levels.
+
+    The call runs on one BLAS thread, so no sum's order depends on the
+    caller's BLAS thread count, restored on return.
 
     Returns a dict holding, per level, the terminal (pos, vel) under
     ``"states"``: the views x[0] and x[1] of its (2, paths, modes) state x,
@@ -290,10 +349,10 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
     """
     model, spec, grid = config.model, config.spec, config.grid
     b = len(path_indices)
+    if b < 1:
+        raise ValueError(f"path_indices must hold at least one path, got {path_indices}")
     m = config.m_noise
-    if config.n_steps % coarsen:
-        raise ValueError(f"coarsen={coarsen} must divide n_steps={config.n_steps}")
-    k_steps = config.n_steps // coarsen
+    k_steps = _coarse_steps(config.n_steps, coarsen)
     dt = config.t_final / k_steps
     sqdt_fine = np.sqrt(config.dt)
 

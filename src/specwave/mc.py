@@ -23,22 +23,16 @@ in arrays indexed by path, and every reduction runs over those arrays in a
 fixed order, so results are bitwise independent of the worker count.
 
 Parallelism: ``workers`` blocks run at once, by default one per usable CPU;
-that is the only level of parallelism.  While a study runs, the OpenBLAS that
-numpy bundles is held to one thread, so engine and BLAS threads do not compete
-for the same cores and no product's summation order depends on the BLAS
-thread setting.
+that is the only level of parallelism.  Each block runs on one BLAS thread
+(``integrator.run_chunk`` holds the pin), so engine and BLAS threads do not
+compete for the same cores.
 """
 
 from __future__ import annotations
 
-import ctypes
-import glob
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -118,8 +112,8 @@ class StudyReport:
     strong_stderr: np.ndarray
     # second-moment monitor, levels ordered (reference, *study levels):
     # mean and standard error of ||X_k||^2 at every time-grid point
-    moment_mean: np.ndarray | None
-    moment_stderr: np.ndarray | None
+    moment_mean: np.ndarray
+    moment_stderr: np.ndarray
 
 
 def _chunks(n_paths: int):
@@ -134,65 +128,17 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-@lru_cache(maxsize=1)
-def _blas_thread_api():
-    """(get, set) thread-count functions of numpy's bundled scipy-openblas64.
-
-    None when numpy links some other BLAS; the pin is then a no-op.
-    """
-    libdir = os.path.dirname(np.__file__) + ".libs"
-    for path in glob.glob(os.path.join(libdir, "libscipy_openblas64_*")):
-        lib = ctypes.CDLL(path)
-        get = lib.scipy_openblas_get_num_threads64_
-        put = lib.scipy_openblas_set_num_threads64_
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        return get, put
-    return None
-
-
-# the BLAS thread count is process-wide: concurrent studies share one pin,
-# and the last to finish restores the count found by the first
-_blas_lock = threading.Lock()
-_blas_holders = 0
-_blas_saved = 0
-
-
-@contextmanager
-def _single_blas_thread():
-    """Hold numpy's OpenBLAS to one thread; a no-op when it cannot be found."""
-    global _blas_holders, _blas_saved
-    api = _blas_thread_api()
-    if api is None:
-        yield
-        return
-    get, put = api
-    with _blas_lock:
-        if _blas_holders == 0:
-            _blas_saved = get()
-            put(1)
-        _blas_holders += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_holders -= 1
-            if _blas_holders == 0:
-                put(_blas_saved)
-
-
 def _map_chunks(fn, chunks, workers: int | None):
-    """Results of fn(chunk) in chunk order, ``workers`` at once, on one BLAS thread."""
+    """Results of fn(chunk) in chunk order, ``workers`` at once."""
     if workers is None:
         workers = _usable_cpus()
     elif workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     workers = min(workers, len(chunks))
-    with _single_blas_thread():
-        if workers == 1:
-            return [fn(c) for c in chunks]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, chunks))
+    if workers == 1:
+        return [fn(c) for c in chunks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, chunks))
 
 
 def _mean_stderr(values: np.ndarray):
@@ -222,7 +168,7 @@ def estimate_functional(phi: TestFunctional, config: SimConfig, level: int,
 
 def run_study(config: SimConfig, phi: TestFunctional, n_paths: int,
               master_seed: int, *, workers: int | None = None, coarsen: int = 1,
-              monitor_rho: float | None = 0.0) -> StudyReport:
+              monitor_rho: float = 0.0) -> StudyReport:
     """Coupled weak/strong error study across all configured levels.
 
     Errors are measured against ``config.n_ref``, which must exceed every
@@ -242,22 +188,19 @@ def run_study(config: SimConfig, phi: TestFunctional, n_paths: int,
         raise ValueError(f"n_paths must be at least 2, got {n_paths}")
     levels_run = (config.n_ref, *config.levels)
     n_levels = len(config.levels)
-    k_steps = config.n_steps // coarsen
+    k_steps = integrator._coarse_steps(config.n_steps, coarsen)
 
-    chunks = _chunks(n_paths)
     phi_vals = np.empty((n_paths, n_levels + 1))
     strong_sq = np.empty((n_paths, n_levels))
-    moment_sums = weights = None
-    if monitor_rho is not None:
-        moment_sums = np.zeros((len(chunks), n_levels + 1, k_steps + 1, 2))
-        weights = [pair_weights(config.model, level, monitor_rho) for level in levels_run]
+    chunks = _chunks(n_paths)
+    moment_sums = np.zeros((len(chunks), n_levels + 1, k_steps + 1, 2))
+    weights = [pair_weights(config.model, level, monitor_rho) for level in levels_run]
 
     def work(ci_chunk):
         ci, chunk = ci_chunk
-        observe = None
-        if moment_sums is not None:
-            def observe(i, k, pos, vel):
-                integrator._record_moment(moment_sums[ci, i, k], pos, vel, *weights[i])
+
+        def observe(i, k, pos, vel):
+            integrator._record_moment(moment_sums[ci, i, k], pos, vel, *weights[i])
         out = run_chunk(config, levels_run, chunk, master_seed, coarsen=coarsen,
                         phi=phi, strong_vs_first=True, observe=observe)
         phi_vals[chunk.start:chunk.stop] = out["phi"]
@@ -272,12 +215,10 @@ def run_study(config: SimConfig, phi: TestFunctional, n_paths: int,
     with np.errstate(divide="ignore", invalid="ignore"):
         strong_se = np.where(s_mean > 0, s_se / (2.0 * np.where(s_mean > 0, strong, 1.0)), 0.0)
 
-    moment_mean = moment_stderr = None
-    if moment_sums is not None:
-        sums = moment_sums.sum(axis=0)
-        moment_mean = sums[..., 0] / n_paths
-        var = np.maximum(sums[..., 1] / n_paths - moment_mean**2, 0.0)
-        moment_stderr = np.sqrt(var * (n_paths / (n_paths - 1)) / n_paths)
+    sums = moment_sums.sum(axis=0)
+    moment_mean = sums[..., 0] / n_paths
+    var = np.maximum(sums[..., 1] / n_paths - moment_mean**2, 0.0)
+    moment_stderr = np.sqrt(var * (n_paths / (n_paths - 1)) / n_paths)
 
     return StudyReport(weak, weak_se, strong, strong_se, moment_mean, moment_stderr)
 

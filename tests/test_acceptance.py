@@ -49,7 +49,7 @@ def _convergence(out, workers: int):
 def _halved_step_study():
     setup = load_config(CONFIG)
     return sw.run_study(setup.config, setup.functional, setup.n_paths, SEED,
-                        workers=1, coarsen=2, monitor_rho=None)
+                        workers=1, coarsen=2)
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -239,8 +240,7 @@ class TestSimulateNormRows:
         def keep(i, k, pos, vel):
             states.append((pos[0].copy(), vel[0].copy()))
 
-        with mc._single_blas_thread():
-            mc.run_chunk(cfg, (cfg.n_ref,), range(1), 5, observe=keep)
+        mc.run_chunk(cfg, (cfg.n_ref,), range(1), 5, observe=keep)
         w_0 = pair_weights(cfg.model, cfg.n_ref, 0.0)
         w_rho = pair_weights(cfg.model, cfg.n_ref, rho)
         lines = (out / "norms.csv").read_text().splitlines()[1:]
@@ -295,6 +295,26 @@ class TestConvergence:
         assert set(manifest) == {"config_sha256", "master_seed", "levels", "m_noise",
                                  "grid_points", "n_steps", "n_paths"}
         assert manifest["n_paths"] == 400
+
+    @pytest.mark.parametrize("command", ["simulate", "convergence"])
+    def test_manifest_hashes_the_bytes_parsed(self, tmp_path, monkeypatch, command):
+        # the config is rewritten while the run steps; the manifest used to
+        # hash the file as it was then, not the bytes the run had parsed
+        cfg = write_config(tmp_path, SMALL_ANDERSON)
+        parsed = read(cfg)
+        run_chunk = mc.run_chunk
+
+        def rewrite_then_run(*args, **kwargs):
+            with open(cfg, "ab") as fh:
+                fh.write(b" ")
+            return run_chunk(*args, **kwargs)
+
+        monkeypatch.setattr("specwave.mc.run_chunk", rewrite_then_run)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
+        assert read(cfg) != parsed
+        manifest = json.loads(read(out / "manifest.json"))
+        assert manifest["config_sha256"] == hashlib.sha256(parsed).hexdigest()
 
     def test_paths_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_ANDERSON)

@@ -211,9 +211,13 @@ def test_non_finite_number_exits_two(tmp_path, capsys, section, key, value, fiel
     ("model", "theta", 1e307),
     ("model", "theta", 1e-200),
     ("study", "n_paths", 1),
+    ("model", "n_ref", 10**12),
+    ("noise", "m_noise", 10**12),
+    ("model", "grid_points", 10**12),
 ], ids=["t_final-zero", "n_steps-zero", "m_noise-zero", "grid_points-below-n_ref",
         "n_ref-zero", "rho_monitor-overflows-weights", "rho_monitor-overflows-squared-weights",
-        "theta-overflows-eigenvalues", "theta-overflows-squared-weights", "n_paths-one"])
+        "theta-overflows-eigenvalues", "theta-overflows-squared-weights", "n_paths-one",
+        "n_ref-unallocatable", "m_noise-unallocatable", "grid_points-unallocatable"])
 def test_out_of_range_value_names_its_key(tmp_path, capsys, section, key, value):
     # each used to be reported on field model, and n_ref as "n_modes" on
     # theta; a rho_monitor whose weights |lam|^rho overflow used to write
@@ -222,7 +226,9 @@ def test_out_of_range_value_names_its_key(tmp_path, capsys, section, key, value)
     # moment monitor overflow (NaN stderrs, exit 0, on a 64-mode flagship).
     # A theta of 1e307, whose eigenvalues overflow, used to exit 3 as a
     # blow-up at step 0; one of 1e-200, whose velocity weights 1/|lam| overflow
-    # when squared, was blamed on rho_monitor; n_paths 1 let simulate exit 0
+    # when squared, was blamed on rho_monitor; n_paths 1 let simulate exit 0.
+    # A size of 10**12 ended in a numpy _ArrayMemoryError traceback, exit 1;
+    # zero_smoke.json leaves the grid at its default 4 * max(n_ref, m_noise)
     cfg = _write(tmp_path, _with(**{section: {**ZERO_SMOKE[section], key: value}}))
     with pytest.raises(ConfigError) as err:
         load_config(cfg)
@@ -286,3 +292,62 @@ def test_unreadable_json_exits_two(tmp_path, capsys, text):
     path.write_bytes(text)
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "(field: config)" in capsys.readouterr().err
+
+
+def _write_text(tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ('"n_ref": 8', '"n_ref": 8, "n_ref": 16', "n_ref"),
+    ('"noise": {"m_noise": 8}', '"noise": {"m_noise": 8}, "noise": {"m_noise": 16}', "noise"),
+    ('"3": 0.5}', '"3": 0.5, "1": 5.0}', "1"),
+], ids=["model-key", "section", "mode-key"])
+def test_duplicate_key_exits_two(tmp_path, capsys, old, new, key):
+    # json keeps the last of two equal keys: the first two used to run at 16
+    # modes, the third with mode 1 set to 5.0, each with exit 0
+    text = json.dumps(ZERO_SMOKE)
+    assert text.count(old) == 1
+    cfg = _write_text(tmp_path, text.replace(old, new))
+    with pytest.raises(ConfigError) as err:
+        load_config(cfg)
+    assert err.value.field == key
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"duplicate key {key!r} (field: {key})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["01", " 1", "+1", "1_0", "1 "])
+def test_non_canonical_mode_key_exits_two(tmp_path, capsys, key):
+    # int() reads each of these: "01" used to set mode 1, "1_0" mode 10
+    model = {**ZERO_SMOKE["model"], "initial": {"pos": {"1": 1.0, key: 5.0}, "vel": {}}}
+    cfg = _write(tmp_path, _with(model=model))
+    with pytest.raises(ConfigError) as err:
+        load_config(cfg)
+    assert err.value.field == "initial.pos"
+    assert repr(key) in str(err.value)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "bound"])
+def test_unreadable_config_path_exits_two(tmp_path, capsys, command):
+    # a directory used to end in an IsADirectoryError traceback with exit 1
+    argv = [command, "--config", str(tmp_path)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert "(field: config)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, obj, flags", [
+    ("simulate", _with(time={**ZERO_SMOKE["time"], "n_steps": 10**15}), []),
+    ("convergence", ZERO_SMOKE, ["--paths", str(10**10)]),
+], ids=["n_steps", "paths"])
+def test_unallocatable_run_exits_two(tmp_path, capsys, command, obj, flags):
+    # simulate's norm table and the study's per-path arrays used to end in a
+    # numpy _ArrayMemoryError traceback with exit 1
+    cfg = _write(tmp_path, obj)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), *flags]) == 2
+    err = capsys.readouterr().err
+    assert "Unable to allocate" in err and "(field: config)" in err

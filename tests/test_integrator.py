@@ -551,6 +551,21 @@ class TestCoarsening:
         with pytest.raises(ValueError, match="coarsen"):
             run_chunk(cfg, (8,), range(1), 15, coarsen=4)
 
+    @pytest.mark.parametrize("coarsen", [0, -2])
+    def test_below_one_rejected(self, coarsen):
+        # 0 used to raise ZeroDivisionError, -2 a complaint about a negative t
+        cfg = small_anderson_config(n_steps=6)
+        with pytest.raises(ValueError, match="coarsen"):
+            run_chunk(cfg, (8,), range(1), 15, coarsen=coarsen)
+        with pytest.raises(ValueError, match="coarsen"):
+            sw.run_study(cfg, sw.exp_neg_norm(), 4, 15, workers=1, coarsen=coarsen)
+
+    def test_empty_path_block_rejected(self):
+        # used to raise ZeroDivisionError while sizing the noise span
+        cfg = small_anderson_config()
+        with pytest.raises(ValueError, match="path_indices"):
+            run_chunk(cfg, (cfg.n_ref, 8), range(0), 15)
+
 
 def _h0_sq():
     import specwave.mc as mc

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import specwave as sw
-from specwave import mc
+from specwave import integrator, mc
 from specwave.integrator import run_chunk
 
 from conftest import expected_row, phi_at, small_anderson_config, step_loop, zero_config
@@ -88,7 +88,7 @@ class TestWeakStrongStudy:
         init = np.zeros(8)
         init[0] = 1.0
         cfg = zero_config(levels=(2, 4, 6), initial_pos=init)
-        report = sw.run_study(cfg, sw.exp_neg_norm(), 16, 6, monitor_rho=None)
+        report = sw.run_study(cfg, sw.exp_neg_norm(), 16, 6)
         assert np.all(report.weak_error == 0.0)
         assert np.all(report.strong_error == 0.0)
         assert np.all(report.weak_stderr == 0.0)
@@ -97,21 +97,21 @@ class TestWeakStrongStudy:
         init = np.zeros(8)
         init[7] = 1.0  # all mass above every kept level
         cfg = zero_config(levels=(2, 4, 6), initial_pos=init)
-        report = sw.run_study(cfg, sw.exp_neg_norm(), 16, 7, monitor_rho=None)
+        report = sw.run_study(cfg, sw.exp_neg_norm(), 16, 7)
         # the group is an isometry, so the propagated tail keeps unit norm
         assert np.allclose(report.strong_error, 1.0, atol=1e-12)
         assert np.all(report.strong_stderr == 0.0)
 
     def test_monotone_error_decay(self):
         cfg = small_anderson_config()
-        report = sw.run_study(cfg, sw.exp_neg_norm(), 600, 8, monitor_rho=None)
+        report = sw.run_study(cfg, sw.exp_neg_norm(), 600, 8)
         assert np.all(np.diff(np.abs(report.weak_error)) < 0)
         assert np.all(np.diff(report.strong_error) < 0)
 
     def test_coupled_stderr_beats_uncoupled(self):
         cfg = small_anderson_config()
         phi = sw.exp_neg_norm()
-        report = sw.run_study(cfg, phi, 1000, 9, monitor_rho=None)
+        report = sw.run_study(cfg, phi, 1000, 9)
         _, se_ref = sw.estimate_functional(phi, cfg, 32, 1000, 10)
         _, se_lo = sw.estimate_functional(phi, cfg, 8, 1000, 11)
         uncoupled = math.hypot(se_ref, se_lo)
@@ -145,19 +145,23 @@ class TestWeakStrongStudy:
             sw.run_study(cfg, sw.exp_neg_norm(), 8, 13)
 
 
+def _blas_api():
+    api = integrator._blas_thread_api()
+    if api is None:
+        pytest.skip("numpy does not bundle scipy-openblas64")
+    return api
+
+
 class TestBlasPin:
     def test_one_blas_thread_while_any_study_runs(self):
-        api = mc._blas_thread_api()
-        if api is None:
-            pytest.skip("numpy does not bundle scipy-openblas64")
-        get, put = api
+        get, put = _blas_api()
         before = get()
         put(2)
         try:
             # overlapping holders, as concurrent studies in one process are
-            with mc._single_blas_thread():
+            with integrator._single_blas_thread():
                 assert get() == 1
-                with mc._single_blas_thread():
+                with integrator._single_blas_thread():
                     assert get() == 1
                 assert get() == 1
             assert get() == 2
@@ -165,12 +169,31 @@ class TestBlasPin:
             put(before)
 
     def test_engine_runs_on_one_blas_thread(self):
-        api = mc._blas_thread_api()
-        if api is None:
-            pytest.skip("numpy does not bundle scipy-openblas64")
+        get, _ = _blas_api()
+        cfg = zero_config()
         seen = []
-        mc._map_chunks(lambda c: seen.append(api[0]()), mc._chunks(3 * mc.CHUNK_PATHS), 1)
-        assert seen == [1, 1, 1]
+
+        def work(chunk):
+            run_chunk(cfg, (cfg.n_ref,), chunk, 3, observe=lambda *_: seen.append(get()))
+
+        mc._map_chunks(work, mc._chunks(3 * mc.CHUNK_PATHS), 2)
+        assert len(seen) == 3 * (cfg.n_steps + 1) and set(seen) == {1}
+
+    def test_direct_call_pins_and_restores(self):
+        # run_chunk called as validate and library callers call it, outside
+        # any study; it used to run on the caller's BLAS thread count
+        get, put = _blas_api()
+        cfg = small_anderson_config()
+        before = get()
+        put(2)
+        try:
+            seen = []
+            run_chunk(cfg, (cfg.n_ref, 8), range(3), 7,
+                      observe=lambda *_: seen.append(get()))
+            assert seen and set(seen) == {1}
+            assert get() == 2
+        finally:
+            put(before)
 
 
 class TestBatchedEngine:
