@@ -16,7 +16,7 @@ from .mc import (StudyReport, TestFunctional, coordinate, cos_pairing,
                  estimate_functional, exp_neg_norm, run_study)
 from .propagator import propagate
 from .spectral import (GridWorkspace, PairState, SpectralModel, build_model,
-                       hs_norm_lambda_pow, norm_bold_hr, project)
+                       hs_norm_lambda_pow, norm_bold_hr)
 
 __all__ = [
     "__version__",
@@ -28,5 +28,5 @@ __all__ = [
     "estimate_functional", "exp_neg_norm", "run_study",
     "propagate",
     "GridWorkspace", "PairState", "SpectralModel", "build_model",
-    "hs_norm_lambda_pow", "norm_bold_hr", "project",
+    "hs_norm_lambda_pow", "norm_bold_hr",
 ]

@@ -6,9 +6,10 @@ Exit codes are part of the contract so CI can gate on them:
 1 failed check in ``validate``.
 
 Every run writes a manifest (config hash, master seed, level list, noise
-truncation, grid size, step count, path count) sufficient to reproduce its
-outputs byte for byte.  ``SPECWAVE_SEED`` overrides the built-in default
-seed; an explicit ``--seed`` wins over both; a negative seed exits 2.
+truncation, grid size, step count, path count) that reproduces its outputs
+byte for byte under the same OpenBLAS kernel.  ``SPECWAVE_SEED`` overrides
+the built-in default seed; an explicit ``--seed`` wins over both; a negative
+seed exits 2.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import numpy as np
 
 from . import __version__, mc
 from .analysis import fit_rate, predicted_exponent, theoretical_weak_bound
-from .config import ConfigError, bound_params_from_declared, load_bound_params, load_config
+from .config import (ConfigError, RunSetup, bound_params_from_declared, load_bound_params,
+                     load_config)
 from .integrator import BlowUpError, SimConfig
 from .integrator import step  # noqa: F401  perfbench/tracing.py counts specwave.cli.step
 from .mc import run_study
@@ -73,10 +75,87 @@ def _write_manifest(out_dir: str, digest: str, seed: int, cfg: SimConfig,
     })
 
 
-def _rate_block(errors, stderr, fit) -> dict:
-    """report.json's block of one error kind: per-level errors and their rate fit."""
-    return {"errors": [float(v) for v in errors], "stderr": [float(v) for v in stderr],
-            "slope": fit.slope, "intercept": fit.intercept, "r_squared": fit.r_squared}
+def _build_report(setup: RunSetup, report: mc.StudyReport, n_paths: int, seed: int,
+                  bounds, expo) -> dict | None:
+    """report.json's content for one study, or None where it refuses to fit.
+
+    bounds holds the weak bound at every study level and expo its exponent
+    pair; both are None without declared norms.  Reads nothing but its
+    arguments and writes nothing.
+    """
+    cfg = setup.config
+    weak = np.abs(report.weak_error)
+    # refuse to fit noise: every error must clear two standard errors
+    if not (np.all(weak > 2.0 * report.weak_stderr)
+            and np.all(report.strong_error > 2.0 * report.strong_stderr)):
+        return None
+
+    # every sentence below is enforced: run_study rejects a reference that does
+    # not exceed the study levels, and the noise clause follows the flag
+    carries_noise = cfg.n_ref >= cfg.m_noise
+    note = ("weak and strong errors are measured against the finest Galerkin level "
+            "as a stand-in for the untruncated limit; the reference exceeds every "
+            "study level; ")
+    if carries_noise:
+        note += "the reference carries every noise mode"
+    else:
+        note += (f"the reference drops noise modes {cfg.n_ref + 1}..{cfg.m_noise}, "
+                 "which the untruncated limit keeps")
+    phi = setup.functional
+    out = {
+        "reference_level": cfg.n_ref,
+        "reference_carries_noise": carries_noise,
+        "reference_note": note,
+        "master_seed": seed,
+        "n_paths": n_paths,
+        "levels": list(cfg.levels),
+        "functional": {"kind": phi.kind, "bounded": phi.bounded,
+                       "note": (None if phi.bounded else
+                                "outside the bounded-smooth hypotheses of the theory")},
+    }
+    # each error kind: its per-level errors and the OLS fit of their rate
+    for kind, errors, stderr, fitted in (
+            ("weak", report.weak_error, report.weak_stderr, weak),
+            ("strong", report.strong_error, report.strong_stderr, report.strong_error)):
+        fit = fit_rate(list(zip(cfg.levels, fitted)))
+        out[kind] = {"errors": [float(v) for v in errors], "stderr": [float(v) for v in stderr],
+                     "slope": fit.slope, "intercept": fit.intercept, "r_squared": fit.r_squared}
+
+    # each level's sup over the time grid of the mean square, and its stderr
+    rows = np.arange(report.moment_mean.shape[0])
+    sup_idx = report.moment_mean.argmax(axis=1)
+    sup_mean = report.moment_mean[rows, sup_idx]
+    sup_se = report.moment_stderr[rows, sup_idx]
+    out["moment_monitor"] = {
+        "rho": setup.monitor_rho,
+        "levels": [cfg.n_ref, *cfg.levels],
+        "sup_mean_square": [float(v) for v in sup_mean],
+        "sup_stderr": [float(v) for v in sup_se],
+    }
+
+    if bounds is not None:
+        d = setup.declared
+        satisfied = bool(np.all(weak - 3.0 * report.weak_stderr <= np.asarray(bounds)))
+        out["bound"] = {
+            "gamma": d["gamma"],
+            "beta": d["beta"],
+            "rho": d["rho"],
+            "values": [float(b) for b in bounds],
+            "lambda_exponent": expo.lambda_exponent,
+            "n_exponent": expo.n_exponent,
+            "dominates_measured": satisfied,
+        }
+        if "moment_f_lip" in d:
+            env = max(1.0, norm_bold_hr(cfg.initial, setup.monitor_rho, cfg.model)) \
+                * float(np.exp(cfg.t_final * (d["moment_f_lip"]
+                                              + 0.5 * d["moment_b_hs"] ** 2)))
+            sups = np.sqrt(sup_mean)
+            # 3-stderr slack on the mean square, mapped through the square root
+            slack = 3.0 * sup_se / (2.0 * np.maximum(sups, 1e-300))
+            ok = bool(np.all(np.maximum(1.0, sups - slack) <= env))
+            out["moment_monitor"]["envelope"] = env
+            out["moment_monitor"]["below_envelope"] = ok
+    return out
 
 
 def cmd_simulate(args) -> int:
@@ -135,7 +214,7 @@ def cmd_convergence(args) -> int:
         raise ConfigError("paths", f"a study needs at least 2 paths, got {n_paths}")
     if args.workers is not None and args.workers < 1:
         raise ConfigError("workers", f"need at least 1 worker, got {args.workers}")
-    bounds = None
+    bounds = expo = None
     if setup.declared is not None:
         # every bound input but lambda_cut is checked and formed once, and the
         # bound evaluated at every level, before the first path runs
@@ -160,82 +239,14 @@ def cmd_convergence(args) -> int:
                      f"{n_paths}\n")
     _write_manifest(out_dir, setup.digest, seed, cfg, n_paths)
 
-    # refuse to fit noise: every error must clear two standard errors
-    weak_ok = np.abs(report.weak_error) > 2.0 * report.weak_stderr
-    strong_ok = report.strong_error > 2.0 * report.strong_stderr
-    if not (np.all(weak_ok) and np.all(strong_ok)):
+    out = _build_report(setup, report, n_paths, seed, bounds, expo)
+    if out is None:
         print("convergence: error estimates indistinguishable from zero at 2 stderr; "
               "not fitting rates", file=sys.stderr)
         return 4
-
-    weak_fit = fit_rate(list(zip(cfg.levels, np.abs(report.weak_error))))
-    strong_fit = fit_rate(list(zip(cfg.levels, report.strong_error)))
-
-    # every sentence below is enforced: run_study rejects a reference that does
-    # not exceed the study levels, and the noise clause follows the flag
-    carries_noise = cfg.n_ref >= cfg.m_noise
-    note = ("weak and strong errors are measured against the finest Galerkin level "
-            "as a stand-in for the untruncated limit; the reference exceeds every "
-            "study level; ")
-    if carries_noise:
-        note += "the reference carries every noise mode"
-    else:
-        note += (f"the reference drops noise modes {cfg.n_ref + 1}..{cfg.m_noise}, "
-                 "which the untruncated limit keeps")
-    phi = setup.functional
-    out = {
-        "reference_level": cfg.n_ref,
-        "reference_carries_noise": carries_noise,
-        "reference_note": note,
-        "master_seed": seed,
-        "n_paths": n_paths,
-        "levels": list(cfg.levels),
-        "functional": {"kind": phi.kind, "bounded": phi.bounded,
-                       "note": (None if phi.bounded else
-                                "outside the bounded-smooth hypotheses of the theory")},
-        "weak": _rate_block(report.weak_error, report.weak_stderr, weak_fit),
-        "strong": _rate_block(report.strong_error, report.strong_stderr, strong_fit),
-    }
-
-    # each level's sup over the time grid of the mean square, and its stderr
-    rows = np.arange(report.moment_mean.shape[0])
-    sup_idx = report.moment_mean.argmax(axis=1)
-    sup_mean = report.moment_mean[rows, sup_idx]
-    sup_se = report.moment_stderr[rows, sup_idx]
-    out["moment_monitor"] = {
-        "rho": setup.monitor_rho,
-        "levels": [cfg.n_ref, *cfg.levels],
-        "sup_mean_square": [float(v) for v in sup_mean],
-        "sup_stderr": [float(v) for v in sup_se],
-    }
-
-    if bounds is not None:
-        d = setup.declared
-        satisfied = bool(np.all(np.abs(report.weak_error) - 3.0 * report.weak_stderr
-                                <= np.asarray(bounds)))
-        out["bound"] = {
-            "gamma": d["gamma"],
-            "beta": d["beta"],
-            "rho": d["rho"],
-            "values": [float(b) for b in bounds],
-            "lambda_exponent": expo.lambda_exponent,
-            "n_exponent": expo.n_exponent,
-            "dominates_measured": satisfied,
-        }
-        if "moment_f_lip" in d:
-            env = max(1.0, norm_bold_hr(cfg.initial, setup.monitor_rho, cfg.model)) \
-                * float(np.exp(cfg.t_final * (d["moment_f_lip"]
-                                              + 0.5 * d["moment_b_hs"] ** 2)))
-            sups = np.sqrt(sup_mean)
-            # 3-stderr slack on the mean square, mapped through the square root
-            slack = 3.0 * sup_se / (2.0 * np.maximum(sups, 1e-300))
-            ok = bool(np.all(np.maximum(1.0, sups - slack) <= env))
-            out["moment_monitor"]["envelope"] = env
-            out["moment_monitor"]["below_envelope"] = ok
-
     _write_json(os.path.join(out_dir, "report.json"), out)
-    print(json.dumps({"weak_slope": weak_fit.slope, "strong_slope": strong_fit.slope,
-                      "weak_r_squared": weak_fit.r_squared}, sort_keys=True))
+    print(json.dumps({"weak_slope": out["weak"]["slope"], "strong_slope": out["strong"]["slope"],
+                      "weak_r_squared": out["weak"]["r_squared"]}, sort_keys=True))
     return 0
 
 

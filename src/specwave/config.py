@@ -50,10 +50,6 @@ _EVAL_NAMES = {"sin": np.sin, "cos": np.cos, "tanh": np.tanh}
 
 def compile_expression(text: str, field: str):
     """Compile an expression over {x, y, constants, +, -, *, sin, cos, tanh}."""
-    try:
-        tree = ast.parse(text, mode="eval")
-    except SyntaxError as exc:
-        raise ConfigError(field, f"invalid expression: {exc.msg}") from None
 
     def check(node):
         if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub,
@@ -66,6 +62,7 @@ def compile_expression(text: str, field: str):
             return
         if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)) \
                 and not isinstance(node.value, bool):
+            _number(node.value, field, "an expression constant")
             return
         if isinstance(node, ast.Name) and node.id in ("x", "y"):
             return
@@ -77,8 +74,15 @@ def compile_expression(text: str, field: str):
         raise ConfigError(field, f"expression uses a construct outside the subset: "
                                  f"{ast.dump(node)[:60]}")
 
-    check(tree.body)
-    code = compile(tree, f"<{field}>", "eval")
+    try:
+        tree = ast.parse(text, mode="eval")
+        check(tree.body)
+        code = compile(tree, f"<{field}>", "eval")
+    except SyntaxError as exc:
+        raise ConfigError(field, f"invalid expression: {exc.msg}") from None
+    except RecursionError:
+        # parse, check and compile each recurse once per level of nesting
+        raise ConfigError(field, "expression nested too deeply") from None
 
     def fn(x, y):
         out = eval(code, {"__builtins__": {}}, {**_EVAL_NAMES, "x": x, "y": y})
@@ -420,6 +424,8 @@ def _load_json(path: str) -> tuple[dict, str]:
     except ValueError as exc:
         # also an integer longer than int's string limit, or bytes not UTF-8
         raise ConfigError("config", f"config is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError("config", "config nests too deeply to parse") from None
     if not isinstance(raw, dict):
         raise ConfigError("config", "config root must be an object")
     return raw, hashlib.sha256(data).hexdigest()

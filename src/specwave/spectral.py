@@ -37,7 +37,6 @@ __all__ = [
     "norm_bold_hr",
     "pair_norm_sq",
     "pair_weights",
-    "project",
     "hs_norm_lambda_pow",
 ]
 
@@ -136,18 +135,6 @@ def norm_bold_hr(state: PairState, r: float, model: SpectralModel) -> float:
     """Pair-space norm: position weighted by |lam|^r, velocity by |lam|^(r-1)."""
     w_pos, w_vel = pair_weights(model, state.n_modes, r)
     return float(np.sqrt(pair_norm_sq(state.pos, state.vel, w_pos, w_vel)))
-
-
-def project(state: PairState, n_keep: int) -> PairState:
-    """Zero all coefficients with mode index above ``n_keep``."""
-    n = state.n_modes
-    if not 0 <= n_keep <= n:
-        raise ValueError(f"n_keep must lie in [0, {n}], got {n_keep}")
-    pos = state.pos.copy()
-    vel = state.vel.copy()
-    pos[n_keep:] = 0.0
-    vel[n_keep:] = 0.0
-    return PairState(pos, vel)
 
 
 def hs_norm_lambda_pow(theta: float, beta: float, tol: float = 1e-8) -> float:

@@ -14,6 +14,13 @@ def grid32():
     return sw.GridWorkspace(32)
 
 
+def truncated(state, n_keep):
+    """state with every coefficient above mode n_keep zeroed."""
+    pos, vel = state.pos.copy(), state.vel.copy()
+    pos[n_keep:] = vel[n_keep:] = 0.0
+    return sw.PairState(pos, vel)
+
+
 def small_anderson_config(n_ref=32, levels=(4, 8, 16), n_steps=64, m_noise=64):
     model = sw.build_model(1.0, n_ref)
     pos = np.zeros(n_ref)

@@ -11,7 +11,7 @@ import pytest
 
 import specwave as sw
 from specwave import mc
-from specwave.cli import main
+from specwave.cli import _build_report, main
 from specwave.config import load_config
 from specwave.spectral import pair_norm_sq, pair_weights
 
@@ -373,6 +373,121 @@ class TestConvergence:
                            check=True, timeout=300)
             outs.append(out)
         assert read(outs[0] / "errors.csv") == read(outs[1] / "errors.csv")
+
+
+class TestBuildReport:
+    """report.json's content from a hand-made StudyReport: no path is stepped."""
+
+    LEVELS = np.array([2.0, 4.0, 8.0])
+
+    @pytest.fixture(autouse=True)
+    def no_paths(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_chunk called")
+
+        monkeypatch.setattr("specwave.mc.run_chunk", refuse)
+        monkeypatch.setattr("specwave.integrator.run_chunk", refuse)
+
+    def setup(self, tmp_path, declared=None, **model):
+        obj = json.loads(json.dumps(SMALL_ANDERSON))
+        obj["model"].update(model)
+        obj["study"]["rho_monitor"] = 0.25
+        if declared is not None:
+            obj["coefficients"]["declared_norms"] = declared
+        return load_config(write_config(tmp_path, obj))
+
+    def study(self, weak_error=None, strong_error=None, moment_mean=None):
+        # errors 0.1 L^-1 and 0.2 L^-1/2, each 1e-3 standard errors wide; the
+        # moment rows peak at step 2, at the reference first
+        moments = np.array([[1.0, 1.5, 2.0, 1.8], [1.0, 1.2, 1.6, 1.4],
+                            [1.0, 1.3, 1.7, 1.5], [1.0, 1.4, 1.9, 1.7]])
+        return sw.StudyReport(
+            weak_error=-0.1 / self.LEVELS if weak_error is None else np.array(weak_error),
+            weak_stderr=np.full(3, 1e-3),
+            strong_error=(0.2 / np.sqrt(self.LEVELS) if strong_error is None
+                          else np.array(strong_error)),
+            strong_stderr=np.full(3, 1e-3),
+            moment_mean=moments if moment_mean is None else np.array(moment_mean),
+            moment_stderr=np.full((4, 4), 0.01))
+
+    @pytest.mark.parametrize("changes", [
+        {"weak_error": [-0.05, -0.025, 0.002]},
+        {"weak_error": [-0.05, -0.025, -0.0019]},
+        {"strong_error": [0.14, 0.1, 0.002]},
+        {"strong_error": [0.14, 0.1, -0.07]},
+    ], ids=["weak-at-two-stderr", "weak-inside", "strong-at-two-stderr", "strong-negative"])
+    def test_refuses_to_fit_noise(self, tmp_path, changes):
+        assert _build_report(self.setup(tmp_path), self.study(**changes), 400, 3,
+                             None, None) is None
+
+    def test_rates_functional_and_monitor(self, tmp_path):
+        setup = self.setup(tmp_path)
+        out = _build_report(setup, self.study(), 400, 3, None, None)
+        assert set(out) == {"reference_level", "reference_carries_noise", "reference_note",
+                            "master_seed", "n_paths", "levels", "functional", "weak",
+                            "strong", "moment_monitor"}
+        assert (out["master_seed"], out["n_paths"], out["levels"]) == (3, 400, [2, 4, 8])
+        assert out["functional"] == {"kind": "exp_neg_norm", "bounded": True, "note": None}
+        assert out["weak"]["errors"] == (-0.1 / self.LEVELS).tolist()
+        assert out["weak"]["stderr"] == [1e-3] * 3
+        assert out["weak"]["slope"] == pytest.approx(-1.0, abs=1e-12)
+        assert out["weak"]["r_squared"] == pytest.approx(1.0, abs=1e-12)
+        assert out["strong"]["slope"] == pytest.approx(-0.5, abs=1e-12)
+        assert out["strong"]["intercept"] == pytest.approx(math.log(0.2), abs=1e-12)
+        assert out["moment_monitor"] == {"rho": 0.25, "levels": [16, 2, 4, 8],
+                                         "sup_mean_square": [2.0, 1.6, 1.7, 1.9],
+                                         "sup_stderr": [0.01] * 4}
+
+    @pytest.mark.parametrize("n_ref, carries, clause", [
+        (16, False, "the reference drops noise modes 17..32, which the untruncated "
+                    "limit keeps"),
+        (32, True, "the reference carries every noise mode"),
+    ], ids=["drops-noise", "carries-noise"])
+    def test_reference_note(self, tmp_path, n_ref, carries, clause):
+        setup = self.setup(tmp_path, n_ref=n_ref, grid_points=64)
+        out = _build_report(setup, self.study(), 400, 3, None, None)
+        assert out["reference_level"] == n_ref
+        assert out["reference_carries_noise"] is carries
+        assert out["reference_note"] == (
+            "weak and strong errors are measured against the finest Galerkin level as "
+            "a stand-in for the untruncated limit; the reference exceeds every study "
+            "level; " + clause)
+
+    @pytest.mark.parametrize("bounds, dominates", [
+        ([0.1, 0.1, 0.1], True),
+        ([0.1, 0.1, 0.0125 - 3e-3], True),
+        ([0.1, 0.1, 0.0125 - 3.1e-3], False),
+    ], ids=["wide", "at-three-stderr", "below"])
+    def test_bound_block(self, tmp_path, bounds, dominates):
+        declared = {k: v for k, v in self.declared().items() if not k.startswith("moment")}
+        setup = self.setup(tmp_path, declared)
+        expo = sw.ExponentPair(0.2, 0.4)
+        out = _build_report(setup, self.study(), 400, 3, bounds, expo)
+        assert out["bound"] == {"gamma": 0.9, "beta": 0.7, "rho": 0.45, "values": bounds,
+                                "lambda_exponent": 0.2, "n_exponent": 0.4,
+                                "dominates_measured": dominates}
+        assert "envelope" not in out["moment_monitor"]
+
+    @pytest.mark.parametrize("peak, below", [
+        (2.0, True),
+        (5.0, False),
+    ], ids=["below", "above"])
+    def test_envelope(self, tmp_path, peak, below):
+        setup = self.setup(tmp_path, self.declared())
+        moments = np.ones((4, 4))
+        moments[1, 2] = peak
+        out = _build_report(setup, self.study(moment_mean=moments), 400, 3, [0.1] * 3,
+                            sw.ExponentPair(0.2, 0.4))
+        # max(1, ||X_0|| at rho) exp(T (f_lip + b_hs^2 / 2)); X_0 = e_1, T = 1
+        norm0 = math.pi ** 0.25
+        want = max(1.0, norm0) * math.exp(0.5 * 0.5774 ** 2)
+        assert out["moment_monitor"]["envelope"] == pytest.approx(want, rel=1e-14)
+        assert out["moment_monitor"]["below_envelope"] is below
+
+    @staticmethod
+    def declared():
+        with open(FLAGSHIP, encoding="utf-8") as fh:
+            return json.load(fh)["coefficients"]["declared_norms"]
 
 
 class TestSimulateAcrossProcesses:

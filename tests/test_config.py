@@ -285,13 +285,51 @@ def test_declared_norm_fault_exits_before_the_study(tmp_path, capsys, monkeypatc
 @pytest.mark.parametrize("text", [
     b'{"model": 1' + b"0" * 5000 + b"}",
     b'{"model": "\xff"}',
-], ids=["integer-beyond-string-limit", "not-utf-8"])
+    b'{"model": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+], ids=["integer-beyond-string-limit", "not-utf-8", "nested-past-recursion-limit"])
 def test_unreadable_json_exits_two(tmp_path, capsys, text):
-    # json raises plain ValueErrors for these, which used to end in a traceback
+    # json raises plain ValueErrors for the first two and a RecursionError for
+    # the third, which used to end in a traceback
     path = tmp_path / "config.json"
     path.write_bytes(text)
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "(field: config)" in capsys.readouterr().err
+
+
+def _pointwise_b(text):
+    """zero_smoke.json with pointwise diffusion b(x, y) = text."""
+    return _with(coefficients={"kind": "pointwise", "b": text})
+
+
+@pytest.mark.parametrize("text", [
+    "y**2", "y/2", "exp(y)", "y.real", "__import__('os')", "sin(y, y)", "sin(y=1)",
+    "True*y", "[y][0]", "y if y else x", "(lambda: y)()", "1j*y",
+    pytest.param("1e400*y", id="float-overflow"),
+    pytest.param("1" + "0" * 400 + "*y", id="int-beyond-float"),
+])
+def test_expression_outside_subset_exits_two(tmp_path, capsys, text):
+    # the loader evals the expression, so only {x, y, constants, +, -, *, sin,
+    # cos, tanh} may reach eval; a constant must be a finite float
+    cfg = _write(tmp_path, _pointwise_b(text))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "(field: b)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["-0.5*sin(y)+x*cos(x)", "+y", "2"])
+def test_expression_inside_subset_loads(tmp_path, text):
+    load_config(_write(tmp_path, _pointwise_b(text)))
+
+
+@pytest.mark.parametrize("field", ["b", "drift"])
+@pytest.mark.parametrize("text", ["-" * 2000 + "y", "y" + "*y" * 5000],
+                         ids=["unary-chain", "product-chain"])
+def test_deeply_nested_expression_exits_two(tmp_path, capsys, field, text):
+    # ast.parse and the subset check each recurse once per level of nesting
+    coefficients = ({"kind": "pointwise", "b": text} if field == "b" else
+                    {"preset": "zero", "drift": text})
+    cfg = _write(tmp_path, _with(coefficients=coefficients))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"(field: {field})" in capsys.readouterr().err
 
 
 def _write_text(tmp_path, text):

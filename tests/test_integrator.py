@@ -13,7 +13,8 @@ from specwave.coefficients import diffusion_vel, drift_vel
 from specwave.config import load_config
 from specwave.integrator import run_chunk
 
-from conftest import expected_row, phi_at, small_anderson_config, step_loop, zero_config
+from conftest import (expected_row, phi_at, small_anderson_config, step_loop, truncated,
+                      zero_config)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -125,7 +126,7 @@ class TestSimulatePath:
         cfg = zero_config(initial_pos=[1, 0, 0.5, 0, 0, 0, 0, -0.25])
         out = step_loop(cfg, 3, 0)
         for level in (2, 4, 6, 8):
-            want = sw.propagate(sw.project(cfg.initial, level), 1.0, cfg.model)
+            want = sw.propagate(truncated(cfg.initial, level), 1.0, cfg.model)
             assert np.max(np.abs(out[level].pos - want.pos[:level])) < 1e-10
             assert np.max(np.abs(out[level].vel - want.vel[:level])) < 1e-10
 

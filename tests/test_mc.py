@@ -7,7 +7,8 @@ import specwave as sw
 from specwave import integrator, mc
 from specwave.integrator import run_chunk
 
-from conftest import expected_row, phi_at, small_anderson_config, step_loop, zero_config
+from conftest import (expected_row, phi_at, small_anderson_config, step_loop, truncated,
+                      zero_config)
 
 
 class TestFunctionals:
@@ -60,7 +61,7 @@ class TestEstimateFunctional:
         cfg = zero_config(initial_pos=[1, 0, 0, 0.5, 0, 0, 0, 0])
         phi = sw.exp_neg_norm()
         mean, se = sw.estimate_functional(phi, cfg, 4, 64, 3)
-        want = phi_at(phi, sw.propagate(sw.project(cfg.initial, 4), 1.0, cfg.model),
+        want = phi_at(phi, sw.propagate(truncated(cfg.initial, 4), 1.0, cfg.model),
                       cfg.model)
         assert mean == pytest.approx(want, rel=1e-12)
         assert se == 0.0

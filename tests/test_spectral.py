@@ -170,43 +170,6 @@ class TestNorms:
         assert abs(l2 - sw.norm_bold_hr(st, 0.0, model8)) < 1e-8
 
 
-class TestProject:
-    def test_truncates(self):
-        st = sw.PairState([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
-        out = sw.project(st, 2)
-        assert np.array_equal(out.pos, [1.0, 2.0, 0.0])
-        assert np.array_equal(out.vel, [4.0, 5.0, 0.0])
-
-    def test_full_keep_is_identity(self):
-        st = sw.PairState([1.0, 2.0], [3.0, 4.0])
-        out = sw.project(st, 2)
-        assert np.array_equal(out.pos, st.pos) and np.array_equal(out.vel, st.vel)
-
-    def test_zero_keep(self):
-        st = sw.PairState([1.0, 2.0], [3.0, 4.0])
-        out = sw.project(st, 0)
-        assert np.all(out.pos == 0.0) and np.all(out.vel == 0.0)
-
-    def test_idempotent_and_contractive(self, model8):
-        rng = np.random.default_rng(7)
-        st = sw.PairState(rng.standard_normal(8), rng.standard_normal(8))
-        for k in range(9):
-            once = sw.project(st, k)
-            twice = sw.project(once, k)
-            assert np.array_equal(once.pos, twice.pos)
-            assert np.array_equal(once.vel, twice.vel)
-            for r in (-0.5, 0.0, 0.8):
-                assert (sw.norm_bold_hr(once, r, model8)
-                        <= sw.norm_bold_hr(st, r, model8) + 1e-15)
-
-    def test_bounds(self):
-        st = sw.PairState([1.0, 2.0], [3.0, 4.0])
-        with pytest.raises(ValueError):
-            sw.project(st, -1)
-        with pytest.raises(ValueError):
-            sw.project(st, 3)
-
-
 class TestHsNorm:
     def test_unit_theta(self):
         # partial-sum oracle with the closed form sum 1/n^2 = pi^2/6
