@@ -7,8 +7,9 @@ endpoint with the exact wave group:
 
 The exact group action removes all stiffness from the linear part, so no
 CFL-type restriction ties dt to the finest frequency; the leftover temporal
-error is meant to stay subdominant to the spatial one (checked by the
-time-step robustness diagnostic in the study harness).
+error is meant to stay subdominant to the spatial one.  The acceptance tests
+check that (criterion 7): the flagship study rerun with the step count halved,
+``run_study(coarsen=2)``, moves no level's weak error by a third of itself.
 
 Path coupling: every path owns a deterministic noise stream derived from
 (master seed, path index); all Galerkin levels of a coupled run consume the
@@ -203,6 +204,22 @@ def step(state: PairState, dt: float, dw: np.ndarray, spec: CoefficientSpec,
 # two terms added in swapped order, which IEEE addition allows bit for bit).
 # One finiteness probe reads all of x, and one error state quiets overflow
 # and invalid operations over the whole stepping loop and its observers.
+#
+# The working set of one call on b paths is, in doubles: the states, 2 b L
+# per level L; the noise values, 2 span b h per level, with h = (L +
+# min(L, m_noise) + 1) // 2; the split increments, span b m_noise; one noise
+# burst; and one scratch array of max(2 b L, b L + 4 b h) doubles for the
+# largest level (2 b L when no Anderson product runs).  The levels take
+# their step in turn and none keeps anything in the scratch from one
+# level-step to the next, so they share it.  Within a level-step it is used
+# twice from its front: first the product's parity halves v_odd and v_even
+# (b L together: the position's odd- and even-mode coefficients, then the
+# product's), followed by its four left-half fields o_vals, e_vals, b_part
+# and spare (b h each); then, once vel holds the product, the rotation's
+# tmp (2 b L), whose first row is also the field of a pointwise or drift
+# term.  After the last step the strong gaps difference each level against
+# the reference in it.  Each call allocates its own scratch, so concurrent
+# blocks share none.
 
 def _sine_synthesis(n_modes: int, p: int) -> np.ndarray:
     """e_n at the interior nodes q/p: entry [n-1, q-1] for n <= n_modes, q < p."""
@@ -315,8 +332,13 @@ def _single_blas_thread():
 
 # noise is streamed in bursts of at most this many bytes (and at least one
 # step) through one buffer per call; values are identical to drawing the
-# whole block at once
-_NOISE_BURST_BYTES = 8 << 20
+# whole block at once.  Each path's standard_normal call releases and retakes
+# the GIL, so smaller bursts cost time under worker threads: on a 2 vCPU
+# Xeon, three interleaved flagship runs with 1 MiB bursts on two worker
+# threads were 6-24% slower than with 4 MiB, while two concurrent one-worker
+# processes were not consistently slower (-2% to +7%).  4 MiB, four steps of
+# a flagship block, ran as fast as 8 MiB with half the buffer
+_NOISE_BURST_BYTES = 4 << 20
 # the weighted noise values are formed for as many steps at once as fit this
 # many bytes of increments (and at least one step)
 _NOISE_SPAN_BYTES = 256 << 10
@@ -373,11 +395,18 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
     # buffer (its first row also a dense field's) and sines = (sin/mu, -mu sin)
     # meets x[::-1].  An Anderson product holds its grid's weighted noise
     # values (odd/even, step of the span, path, node), formed by one GEMM pair
-    # per span, its mirror-half tables (``_engine_tables``) and buffers for its
+    # per span, its mirror-half tables (``_engine_tables``) and views for its
     # odd- and even-mode coefficients and four left-half fields.  Each level
     # keeps its own noise values: in one GEMM over several grids, BLAS may sum
-    # a level's columns in an order that depends on the other levels
+    # a level's columns in an order that depends on the other levels.  tmp and
+    # the product's views all lie at the front of one scratch array, sized for
+    # the largest level (see the engine notes)
     span = max(1, _NOISE_SPAN_BYTES // (8 * b * m))
+    top = max(levels, default=0)
+    size = 2 * b * top
+    if beta != 0.0:
+        size = max(size, b * top + 4 * b * ((top + min(top, m) + 1) // 2))
+    scratch = np.empty(size)
     runs = []
     noise_maps = []
     for level in levels:
@@ -392,10 +421,10 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
             h = (nodes + 1) // 2
             w = np.empty((2, span, b, h))
             noise_maps.append((*_noise_map(m, nodes), w))
-            buffers = (np.empty((b, (level + 1) // 2)), np.empty((b, level // 2)),
-                       *(np.empty((b, h)) for _ in range(4)))
-            product = (w, _engine_tables(level, nodes), buffers)
-        runs.append((level, x, np.empty_like(x), cos_t, sines, product))
+            views = _carve(scratch, (b, (level + 1) // 2), (b, level // 2), *[(b, h)] * 4)
+            product = (w, _engine_tables(level, nodes), views)
+        tmp, = _carve(scratch, (2, b, level))
+        runs.append((level, x, tmp, cos_t, sines, product))
     if noise_maps:
         dw_odd, dw_even = np.empty((span, b, (m + 1) // 2)), np.empty((span, b, m // 2))
 
@@ -454,8 +483,8 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
                         field /= grid.intervals
                         vel += field
                     if product is not None:
-                        w, (s_odd, s_even, p_odd, p_even), buffers = product
-                        v_odd, v_even, o_vals, e_vals, b_part, spare = buffers
+                        w, (s_odd, s_even, p_odd, p_even), views = product
+                        v_odd, v_even, o_vals, e_vals, b_part, spare = views
                         w_odd, w_even = w[0, s], w[1, s]
                         np.copyto(v_odd, pos[:, 0::2])
                         np.copyto(v_even, pos[:, 1::2])
@@ -501,14 +530,25 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
         ref_pos, ref_vel = states[0]
         weights = pair_weights(model, levels[0], 0.0)
         gaps = np.empty((b, len(levels) - 1))
+        dp, dv = _carve(scratch, ref_pos.shape, ref_vel.shape)
         for j, (level, (pos, vel)) in enumerate(zip(levels[1:], states[1:])):
-            dp = ref_pos.copy()
+            np.copyto(dp, ref_pos)
             dp[:, :level] -= pos
-            dv = ref_vel.copy()
+            np.copyto(dv, ref_vel)
             dv[:, :level] -= vel
             gaps[:, j] = pair_norm_sq(dp, dv, *weights)
         out["strong_sq"] = gaps
     return out
+
+
+def _carve(scratch, *shapes):
+    """Consecutive C-ordered views of the front of scratch, one per shape."""
+    views, at = [], 0
+    for shape in shapes:
+        n = math.prod(shape)
+        views.append(scratch[at:at + n].reshape(shape))
+        at += n
+    return views
 
 
 def _on_grid(fn, nodes, v_vals):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -479,6 +480,56 @@ class TestNoiseSpans:
             alone = self._final_states(cfg, (level,), paths, 37)[level]
             assert np.array_equal(coupled[level][0], alone[0]), level
             assert np.array_equal(coupled[level][1], alone[1]), level
+
+    @pytest.mark.parametrize("coarsen", [1, 2])
+    def test_burst_size_leaves_the_bits(self, monkeypatch, coarsen):
+        # one step per burst against the whole run in one burst, in spans of
+        # 3 steps that divide neither 50 nor 25
+        cfg = dataclasses.replace(TestOwnGrid._config(16, 16, 32, (2, 4, 8)), n_steps=50)
+        paths = range(1, 5)
+        levels = (cfg.n_ref, *cfg.levels)
+        outs = []
+        for burst in (1, cfg.n_steps // coarsen):
+            self._shrink(monkeypatch, cfg, len(paths), span=3, burst=burst, coarsen=coarsen)
+            outs.append(run_chunk(cfg, levels, paths, 41, coarsen=coarsen,
+                                  phi=sw.exp_neg_norm(), strong_vs_first=True))
+        one, whole = outs
+        for level, got, want in zip(levels, one["states"], whole["states"]):
+            assert np.array_equal(got[0], want[0]), level
+            assert np.array_equal(got[1], want[1]), level
+        assert np.array_equal(one["phi"], whole["phi"])
+        assert np.array_equal(one["strong_sq"], whole["strong_sq"])
+
+
+class TestWorkingSet:
+    """run_chunk's peak allocation against the per-block budget of the engine notes."""
+
+    def test_peak_within_budget(self):
+        # one step of increments fills the span budget, so each span is one step
+        b, m = 128, 256
+        cfg = small_anderson_config(n_ref=32, levels=(4, 8, 16), n_steps=4, m_noise=m)
+        levels = (cfg.n_ref, *cfg.levels)
+        phi = sw.exp_neg_norm()
+        run_chunk(cfg, levels, range(b), 5, phi=phi, strong_vs_first=True)  # builds the tables
+        tracemalloc.start()
+        try:
+            run_chunk(cfg, levels, range(b), 5, phi=phi, strong_vs_first=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        hs = [(level + min(level, m) + 1) // 2 for level in levels]
+        span = max(1, integrator._NOISE_SPAN_BYTES // (8 * b * m))
+        burst = min(max(1, integrator._NOISE_BURST_BYTES // (8 * b * m)), cfg.n_steps)
+        top = max(levels)
+        budget = 8 * (2 * b * sum(levels)                       # states
+                      + 2 * span * b * sum(hs)                  # noise values
+                      + span * b * m                            # split increments
+                      + burst * b * m                           # one burst
+                      + max(2 * b * top, b * top + 4 * b * max(hs)))  # the scratch
+        # per-step temporaries: a path's generator and seed take under 1 KiB,
+        # and a ufunc buffers at most 3 operands of np.getbufsize() doubles
+        slack = 1024 * b + 3 * 8 * np.getbufsize()
+        assert peak <= budget + slack, (peak, budget, slack)
 
 
 class TestBlowUp:
