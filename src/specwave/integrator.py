@@ -207,19 +207,30 @@ def step(state: PairState, dt: float, dw: np.ndarray, spec: CoefficientSpec,
 #
 # The working set of one call on b paths is, in doubles: the states, 2 b L
 # per level L; the noise values, 2 span b h per level, with h = (L +
-# min(L, m_noise) + 1) // 2; the split increments, span b m_noise; one noise
-# burst; and one scratch array of max(2 b L, b L + 4 b h) doubles for the
-# largest level (2 b L when no Anderson product runs).  The levels take
-# their step in turn and none keeps anything in the scratch from one
-# level-step to the next, so they share it.  Within a level-step it is used
-# twice from its front: first the product's parity halves v_odd and v_even
-# (b L together: the position's odd- and even-mode coefficients, then the
-# product's), followed by its four left-half fields o_vals, e_vals, b_part
-# and spare (b h each); then, once vel holds the product, the rotation's
-# tmp (2 b L), whose first row is also the field of a pointwise or drift
-# term.  After the last step the strong gaps difference each level against
-# the reference in it.  Each call allocates its own scratch, so concurrent
-# blocks share none.
+# min(L, m_noise) + 1) // 2; one noise burst; and one scratch array of
+# max(2 b L, b L + 2 b h, span b m_noise) doubles for the largest level
+# (2 b L when no Anderson product runs).  The levels take their step in turn
+# and none keeps anything in the scratch from one level-step to the next, so
+# they share it.  At the start of a span it holds the span's increments
+# split by mode parity (span b m_noise), read only by the noise GEMMs.
+# Within a level-step it is used twice from its front: first the position's
+# parity halves v_odd and v_even (b L together), followed by two left-half
+# fields o_vals and e_vals (b h each); once the synthesis has read the
+# halves, B's first term O_v E_w takes their place.  E_v E_w is written over
+# the step's even noise values and E_v O_w over e_vals, and the analysis
+# writes the product's odd- and even-mode coefficients over the fronts of
+# the step's noise values (h >= ceil(L / 2)): each step's noise values are
+# read by that one level-step alone.  Then, once vel holds the product, the
+# scratch holds the rotation's tmp (2 b L), whose first row is also the
+# field of a pointwise or drift term.  The burst, the noise values and the
+# generators die with ``_step_block``'s frame, so after the last step only
+# the states and the scratch are left: the strong gaps difference each level
+# against the reference in the scratch, and the functional's and the gaps'
+# temporaries (2 b n_ref) take the freed room.  Each call allocates its own
+# scratch, so concurrent blocks share none.  On a flagship block (b = 512)
+# that is 13.6 MB, and tracemalloc reads 14.2 MB (15.1 MB with the moment
+# monitor's b x n_ref square); with separate split increments and four
+# product fields it was 16.7 MB, read as 19.4 MB.
 
 def _sine_synthesis(n_modes: int, p: int) -> np.ndarray:
     """e_n at the interior nodes q/p: entry [n-1, q-1] for n <= n_modes, q < p."""
@@ -369,10 +380,36 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
     state at every step k = 0..n_steps/coarsen, inside the engine's error
     state; they are valid only during the call.
     """
-    model, spec, grid = config.model, config.spec, config.grid
     b = len(path_indices)
     if b < 1:
         raise ValueError(f"path_indices must hold at least one path, got {path_indices}")
+    # the noise buffers and the generators die with _step_block's frame,
+    # before the functional and the gaps allocate their temporaries
+    states, scratch = _step_block(config, levels, path_indices, master_seed, coarsen,
+                                  observe)
+    model = config.model
+    out = {"states": states}
+    if phi is not None:
+        out["phi"] = np.column_stack([phi.evaluate_batch(*st, model) for st in states])
+    if strong_vs_first:
+        ref_pos, ref_vel = states[0]
+        weights = pair_weights(model, levels[0], 0.0)
+        gaps = np.empty((b, len(levels) - 1))
+        dp, dv = _carve(scratch, ref_pos.shape, ref_vel.shape)
+        for j, (level, (pos, vel)) in enumerate(zip(levels[1:], states[1:])):
+            np.copyto(dp, ref_pos)
+            dp[:, :level] -= pos
+            np.copyto(dv, ref_vel)
+            dv[:, :level] -= vel
+            gaps[:, j] = pair_norm_sq(dp, dv, *weights)
+        out["strong_sq"] = gaps
+    return out
+
+
+def _step_block(config, levels, path_indices, master_seed, coarsen, observe):
+    """run_chunk's stepping: each level's terminal (pos, vel) and the scratch."""
+    model, spec, grid = config.model, config.spec, config.grid
+    b = len(path_indices)
     m = config.m_noise
     k_steps = _coarse_steps(config.n_steps, coarsen)
     dt = config.t_final / k_steps
@@ -396,16 +433,17 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
     # meets x[::-1].  An Anderson product holds its grid's weighted noise
     # values (odd/even, step of the span, path, node), formed by one GEMM pair
     # per span, its mirror-half tables (``_engine_tables``) and views for its
-    # odd- and even-mode coefficients and four left-half fields.  Each level
-    # keeps its own noise values: in one GEMM over several grids, BLAS may sum
-    # a level's columns in an order that depends on the other levels.  tmp and
-    # the product's views all lie at the front of one scratch array, sized for
-    # the largest level (see the engine notes)
+    # odd- and even-mode coefficients, two left-half fields and B's sum.  Each
+    # level keeps its own noise values: in one GEMM over several grids, BLAS
+    # may sum a level's columns in an order that depends on the other levels.
+    # tmp, the product's views and the span's split increments all lie at the
+    # front of one scratch array, sized for the largest level (see the engine
+    # notes)
     span = max(1, _NOISE_SPAN_BYTES // (8 * b * m))
     top = max(levels, default=0)
     size = 2 * b * top
     if beta != 0.0:
-        size = max(size, b * top + 4 * b * ((top + min(top, m) + 1) // 2))
+        size = max(size, b * top + 2 * b * ((top + min(top, m) + 1) // 2), span * b * m)
     scratch = np.empty(size)
     runs = []
     noise_maps = []
@@ -421,12 +459,11 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
             h = (nodes + 1) // 2
             w = np.empty((2, span, b, h))
             noise_maps.append((*_noise_map(m, nodes), w))
-            views = _carve(scratch, (b, (level + 1) // 2), (b, level // 2), *[(b, h)] * 4)
+            views = (*_carve(scratch, (b, (level + 1) // 2), (b, level // 2), (b, h), (b, h)),
+                     *_carve(scratch, (b, h)))
             product = (w, _engine_tables(level, nodes), views)
         tmp, = _carve(scratch, (2, b, level))
         runs.append((level, x, tmp, cos_t, sines, product))
-    if noise_maps:
-        dw_odd, dw_even = np.empty((span, b, (m + 1) // 2)), np.empty((span, b, m // 2))
 
     gens = [np.random.default_rng(path_seed(master_seed, idx)) for idx in path_indices]
     burst = max(1, _NOISE_BURST_BYTES // (8 * b * m * coarsen))
@@ -464,10 +501,13 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
                 if noise_maps and s == 0:
                     n = min(span, n_burst - j)
                     rows = steps[:, j:j + n].transpose(1, 0, 2)
-                    np.copyto(dw_odd[:n], rows[:, :, 0::2])
-                    np.copyto(dw_even[:n], rows[:, :, 1::2])
-                    odd_in = dw_odd[:n].reshape(n * b, -1)
-                    even_in = dw_even[:n].reshape(n * b, -1)
+                    # no level-step holds the scratch while the span's noise
+                    # values are formed
+                    dw_odd, dw_even = _carve(scratch, (n, b, (m + 1) // 2), (n, b, m // 2))
+                    np.copyto(dw_odd, rows[:, :, 0::2])
+                    np.copyto(dw_even, rows[:, :, 1::2])
+                    odd_in = dw_odd.reshape(n * b, -1)
+                    even_in = dw_even.reshape(n * b, -1)
                     for map_odd, map_even, w in noise_maps:
                         np.matmul(odd_in, map_odd, out=w[0, :n].reshape(n * b, -1))
                         np.matmul(even_in, map_even, out=w[1, :n].reshape(n * b, -1))
@@ -484,27 +524,32 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
                         vel += field
                     if product is not None:
                         w, (s_odd, s_even, p_odd, p_even), views = product
-                        v_odd, v_even, o_vals, e_vals, b_part, spare = views
+                        v_odd, v_even, o_vals, e_vals, b_part = views
                         w_odd, w_even = w[0, s], w[1, s]
                         np.copyto(v_odd, pos[:, 0::2])
                         np.copyto(v_even, pos[:, 1::2])
                         np.matmul(v_odd, s_odd, out=o_vals)
                         np.matmul(v_even, s_even, out=e_vals)
-                        # B = O_v E_w + E_v O_w, the part odd about x = 1/2
+                        # B = O_v E_w + E_v O_w, the part odd about x = 1/2,
+                        # its first term over the dead parity halves
                         np.multiply(o_vals, w_even, out=b_part)
-                        np.multiply(e_vals, w_odd, out=spare)
-                        b_part += spare
+                        w_even *= e_vals
+                        e_vals *= w_odd
+                        b_part += e_vals
                         # A = O_v O_w + E_v E_w, the even part
                         o_vals *= w_odd
-                        e_vals *= w_even
-                        o_vals += e_vals
-                        np.matmul(o_vals, p_odd, out=v_odd)
-                        np.matmul(b_part, p_even, out=v_even)
+                        o_vals += w_even
+                        # only this level-step reads step s's noise values,
+                        # so the analysis writes over them
+                        a_odd, = _carve(w_odd.reshape(-1), (b, (level + 1) // 2))
+                        a_even, = _carve(w_even.reshape(-1), (b, level // 2))
+                        np.matmul(o_vals, p_odd, out=a_odd)
+                        np.matmul(b_part, p_even, out=a_even)
                         if beta != 1.0:
-                            v_odd *= beta
-                            v_even *= beta
-                        vel[:, 0::2] += v_odd
-                        vel[:, 1::2] += v_even
+                            a_odd *= beta
+                            a_even *= beta
+                        vel[:, 0::2] += a_odd
+                        vel[:, 1::2] += a_even
                     if alpha != 0.0:
                         kk = min(level, m)
                         vel[:, :kk] += alpha * dwk[:, :kk]
@@ -522,23 +567,7 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
                         observe(i, k + 1, pos, vel)
                 k += 1
 
-    states = [(x[0], x[1]) for _, x, *_ in runs]
-    out = {"states": states}
-    if phi is not None:
-        out["phi"] = np.column_stack([phi.evaluate_batch(*st, model) for st in states])
-    if strong_vs_first:
-        ref_pos, ref_vel = states[0]
-        weights = pair_weights(model, levels[0], 0.0)
-        gaps = np.empty((b, len(levels) - 1))
-        dp, dv = _carve(scratch, ref_pos.shape, ref_vel.shape)
-        for j, (level, (pos, vel)) in enumerate(zip(levels[1:], states[1:])):
-            np.copyto(dp, ref_pos)
-            dp[:, :level] -= pos
-            np.copyto(dv, ref_vel)
-            dv[:, :level] -= vel
-            gaps[:, j] = pair_norm_sq(dp, dv, *weights)
-        out["strong_sq"] = gaps
-    return out
+    return [(x[0], x[1]) for _, x, *_ in runs], scratch
 
 
 def _carve(scratch, *shapes):

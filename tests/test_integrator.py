@@ -13,6 +13,7 @@ from specwave import integrator
 from specwave.coefficients import diffusion_vel, drift_vel
 from specwave.config import load_config
 from specwave.integrator import run_chunk
+from specwave.spectral import pair_weights
 
 from conftest import (expected_row, phi_at, small_anderson_config, step_loop, truncated,
                       zero_config)
@@ -469,9 +470,17 @@ class TestNoiseSpans:
                 assert np.max(np.abs(pos[row] - want[level].pos)) < 1e-12, level
                 assert np.max(np.abs(vel[row] - want[level].vel)) < 1e-12, level
 
-    def test_coupled_matches_alone_bitwise(self, monkeypatch):
+    @pytest.mark.parametrize("n_ref, m_noise, grid_points, levels, spec", [
+        (16, 16, 32, (2, 4, 8), sw.preset("anderson")),
+        # h < L on 12 to 15 nodes, 13 and 15 with a centre node, odd levels,
+        # and beta scaling the analysis where it overwrites the noise values
+        (10, 5, 15, (7, 8, 9), sw.CoefficientSpec(alpha=0.3, beta=0.7)),
+    ], ids=["even-grid", "odd-grid-affine"])
+    def test_coupled_matches_alone_bitwise(self, monkeypatch, n_ref, m_noise, grid_points,
+                                           levels, spec):
         # the span follows the block's paths and noise modes, not the levels run
-        cfg = dataclasses.replace(TestOwnGrid._config(16, 16, 32, (2, 4, 8)), n_steps=50)
+        cfg = TestOwnGrid._config(n_ref, m_noise, grid_points, levels, spec)
+        cfg = dataclasses.replace(cfg, n_steps=50)
         paths = range(4)
         self._shrink(monkeypatch, cfg, len(paths), span=3, burst=16)
         levels = (cfg.n_ref, *cfg.levels)
@@ -504,16 +513,32 @@ class TestNoiseSpans:
 class TestWorkingSet:
     """run_chunk's peak allocation against the per-block budget of the engine notes."""
 
-    def test_peak_within_budget(self):
+    @pytest.mark.parametrize("n_ref, monitor", [
+        (32, False),
+        # the functional's and the gaps' temporaries, 2 b n_ref doubles, fit
+        # only once the noise buffers are freed
+        (256, False),
+        # run_study's moment monitor squares one level's position, then its
+        # velocity: a b x n_ref transient at the reference
+        (256, True),
+    ], ids=["levels", "reference", "monitor"])
+    def test_peak_within_budget(self, n_ref, monitor):
         # one step of increments fills the span budget, so each span is one step
         b, m = 128, 256
-        cfg = small_anderson_config(n_ref=32, levels=(4, 8, 16), n_steps=4, m_noise=m)
+        cfg = small_anderson_config(n_ref=n_ref, levels=(4, 8, 16), n_steps=4, m_noise=m)
         levels = (cfg.n_ref, *cfg.levels)
         phi = sw.exp_neg_norm()
+        observe = None
+        if monitor:
+            sums = np.zeros((len(levels), cfg.n_steps + 1, 2))
+            weights = [pair_weights(cfg.model, level, 0.0) for level in levels]
+
+            def observe(i, k, pos, vel):
+                integrator._record_moment(sums[i, k], pos, vel, *weights[i])
         run_chunk(cfg, levels, range(b), 5, phi=phi, strong_vs_first=True)  # builds the tables
         tracemalloc.start()
         try:
-            run_chunk(cfg, levels, range(b), 5, phi=phi, strong_vs_first=True)
+            run_chunk(cfg, levels, range(b), 5, phi=phi, strong_vs_first=True, observe=observe)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -523,9 +548,9 @@ class TestWorkingSet:
         top = max(levels)
         budget = 8 * (2 * b * sum(levels)                       # states
                       + 2 * span * b * sum(hs)                  # noise values
-                      + span * b * m                            # split increments
                       + burst * b * m                           # one burst
-                      + max(2 * b * top, b * top + 4 * b * max(hs)))  # the scratch
+                      + max(2 * b * top, b * top + 2 * b * max(hs), span * b * m)  # scratch
+                      + monitor * b * cfg.n_ref)                # the monitor's square
         # per-step temporaries: a path's generator and seed take under 1 KiB,
         # and a ufunc buffers at most 3 operands of np.getbufsize() doubles
         slack = 1024 * b + 3 * 8 * np.getbufsize()
