@@ -11,9 +11,9 @@ __version__ = "0.1.0"
 from .analysis import (BoundParams, ExponentPair, RateFit, fit_rate,
                        predicted_exponent, theoretical_weak_bound)
 from .coefficients import CoefficientSpec, preset
-from .integrator import BlowUpError, SimConfig, path_seed, step
-from .mc import (StudyReport, TestFunctional, coordinate, cos_pairing,
-                 estimate_functional, exp_neg_norm, run_study)
+from .integrator import BlowUpError, SimConfig, path_seed
+from .mc import (StudyReport, TestFunctional, coordinate, cos_pairing, exp_neg_norm,
+                 run_study)
 from .propagator import propagate
 from .spectral import (GridWorkspace, PairState, SpectralModel, build_model,
                        hs_norm_lambda_pow, norm_bold_hr)
@@ -23,9 +23,9 @@ __all__ = [
     "BoundParams", "ExponentPair", "RateFit", "fit_rate",
     "predicted_exponent", "theoretical_weak_bound",
     "CoefficientSpec", "preset",
-    "BlowUpError", "SimConfig", "path_seed", "step",
+    "BlowUpError", "SimConfig", "path_seed",
     "StudyReport", "TestFunctional", "coordinate", "cos_pairing",
-    "estimate_functional", "exp_neg_norm", "run_study",
+    "exp_neg_norm", "run_study",
     "propagate",
     "GridWorkspace", "PairState", "SpectralModel", "build_model",
     "hs_norm_lambda_pow", "norm_bold_hr",

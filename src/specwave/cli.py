@@ -26,7 +26,7 @@ from . import __version__, mc
 from .analysis import fit_rate, predicted_exponent, theoretical_weak_bound
 from .config import (ConfigError, RunSetup, bound_params_from_declared, load_bound_params,
                      load_config)
-from .integrator import BlowUpError, SimConfig
+from .integrator import BlowUpError, SimConfig, _raise_if_norm_overflow
 from .integrator import step  # noqa: F401  perfbench/tracing.py counts specwave.cli.step
 from .mc import run_study
 from .spectral import norm_bold_hr, pair_norm_sq, pair_weights
@@ -57,9 +57,22 @@ def _fmt(x) -> str:
 
 
 def _write_json(path: str, obj) -> None:
-    # one string in one write: json.dump with an indent writes piece by piece
+    # one string in one write: json.dump with an indent writes piece by piece.
+    # Formed before the file is opened, so a refused NaN or infinity leaves none
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        fh.write(text)
+
+
+def _out_dir(args, setup: RunSetup) -> str:
+    """The output directory, --out else the config's else ".", created."""
+    out_dir, field = (args.out, "out") if args.out else (setup.out_dir or ".", "directory")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(field, f"cannot create output directory {out_dir!r}: "
+                                 f"{exc.strerror}") from None
+    return out_dir
 
 
 def _write_manifest(out_dir: str, digest: str, seed: int, cfg: SimConfig,
@@ -73,6 +86,22 @@ def _write_manifest(out_dir: str, digest: str, seed: int, cfg: SimConfig,
         "n_steps": cfg.n_steps,
         "n_paths": n_paths,
     })
+
+
+def _moment_envelope(setup: RunSetup) -> float:
+    """The moment monitor's a-priori envelope from the declared norms.
+
+    Raises ConfigError on field declared_norms where it leaves float range.
+    """
+    cfg, d = setup.config, setup.declared
+    with np.errstate(over="ignore"):
+        env = max(1.0, norm_bold_hr(cfg.initial, setup.monitor_rho, cfg.model)) \
+            * float(np.exp(cfg.t_final * (d["moment_f_lip"] + 0.5 * d["moment_b_hs"] ** 2)))
+    if not np.isfinite(env):
+        raise ConfigError("declared_norms", "the moment envelope max(1, |initial|) * "
+                                            "exp(t_final (moment_f_lip + moment_b_hs^2 / 2)) "
+                                            "overflows float range")
+    return env
 
 
 def _build_report(setup: RunSetup, report: mc.StudyReport, n_paths: int, seed: int,
@@ -146,9 +175,7 @@ def _build_report(setup: RunSetup, report: mc.StudyReport, n_paths: int, seed: i
             "dominates_measured": satisfied,
         }
         if "moment_f_lip" in d:
-            env = max(1.0, norm_bold_hr(cfg.initial, setup.monitor_rho, cfg.model)) \
-                * float(np.exp(cfg.t_final * (d["moment_f_lip"]
-                                              + 0.5 * d["moment_b_hs"] ** 2)))
+            env = _moment_envelope(setup)
             sups = np.sqrt(sup_mean)
             # 3-stderr slack on the mean square, mapped through the square root
             slack = 3.0 * sup_se / (2.0 * np.maximum(sups, 1e-300))
@@ -162,8 +189,7 @@ def cmd_simulate(args) -> int:
     setup = load_config(args.config)
     cfg = setup.config
     seed = args.seed
-    out_dir = args.out or setup.out_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _out_dir(args, setup)
 
     rho = setup.monitor_rho
     # the weights of norm_bold_hr at r = 0 and r = rho, formed once; at rho = 0
@@ -191,6 +217,7 @@ def cmd_simulate(args) -> int:
     # call time so that a tracer patched onto mc.run_chunk times it
     (pos, vel), = mc.run_chunk(cfg, (cfg.n_ref,), range(1), seed,
                                observe=observe)["states"]
+    _raise_if_norm_overflow((cfg.n_ref,), ~np.isfinite(norms).all(axis=0, keepdims=True))
     terminal = {"level": cfg.n_ref, "t_final": cfg.t_final,
                 "pos": pos[0].tolist(), "vel": vel[0].tolist()}
 
@@ -216,8 +243,9 @@ def cmd_convergence(args) -> int:
         raise ConfigError("workers", f"need at least 1 worker, got {args.workers}")
     bounds = expo = None
     if setup.declared is not None:
-        # every bound input but lambda_cut is checked and formed once, and the
-        # bound evaluated at every level, before the first path runs
+        # every bound input but lambda_cut is checked and formed once, the bound
+        # evaluated at every level and the moment envelope checked, before the
+        # first path runs
         params, expo = bound_params_from_declared(setup)
         try:
             # lambda_cut of level L is |lam| of mode L + 1, lam[L]
@@ -225,8 +253,9 @@ def cmd_convergence(args) -> int:
                       for level in cfg.levels]
         except ValueError as exc:
             raise ConfigError("declared_norms", str(exc)) from None
-    out_dir = args.out or setup.out_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
+        if "moment_f_lip" in setup.declared:
+            _moment_envelope(setup)
+    out_dir = _out_dir(args, setup)
 
     report = run_study(cfg, setup.functional, n_paths, seed,
                        workers=args.workers, monitor_rho=setup.monitor_rho)

@@ -44,14 +44,14 @@ __all__ = [
     "BlowUpError",
     "SimConfig",
     "path_seed",
-    "step",
 ]
 
 
 class BlowUpError(RuntimeError):
-    """A simulated state left the finite range; carries provenance."""
+    """A simulated state, or a squared norm of it, left the finite range;
+    carries provenance."""
 
-    def __init__(self, step_index, level=None, path_index=None):
+    def __init__(self, step_index, level=None, path_index=None, what="non-finite state"):
         self.step_index = step_index
         self.level = level
         self.path_index = path_index
@@ -60,7 +60,7 @@ class BlowUpError(RuntimeError):
             where += f", level {level}"
         if path_index is not None:
             where += f", path {path_index}"
-        super().__init__(f"non-finite state at {where}")
+        super().__init__(f"{what} at {where}")
 
 
 @dataclass(frozen=True)
@@ -229,8 +229,7 @@ def step(state: PairState, dt: float, dw: np.ndarray, spec: CoefficientSpec,
 # temporaries (2 b n_ref) take the freed room.  Each call allocates its own
 # scratch, so concurrent blocks share none.  On a flagship block (b = 512)
 # that is 13.6 MB, and tracemalloc reads 14.2 MB (15.1 MB with the moment
-# monitor's b x n_ref square); with separate split increments and four
-# product fields it was 16.7 MB, read as 19.4 MB.
+# monitor's b x n_ref square).
 
 def _sine_synthesis(n_modes: int, p: int) -> np.ndarray:
     """e_n at the interior nodes q/p: entry [n-1, q-1] for n <= n_modes, q < p."""
@@ -383,6 +382,9 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
     b = len(path_indices)
     if b < 1:
         raise ValueError(f"path_indices must hold at least one path, got {path_indices}")
+    for level in levels:
+        if not 1 <= level <= config.n_ref:
+            raise ValueError(f"level {level} outside 1..{config.n_ref}")
     # the noise buffers and the generators die with _step_block's frame,
     # before the functional and the gaps allocate their temporaries
     states, scratch = _step_block(config, levels, path_indices, master_seed, coarsen,
@@ -584,6 +586,16 @@ def _on_grid(fn, nodes, v_vals):
     """fn(x, v(x)) on every node of every row, as a C-ordered array."""
     vals = np.asarray(fn(nodes, v_vals), dtype=np.float64)
     return np.ascontiguousarray(np.broadcast_to(vals, v_vals.shape))
+
+
+def _raise_if_norm_overflow(levels, bad):
+    """Raise BlowUpError at the first step k, and there the first level, with
+    bad[i, k] set: a squared norm of levels[i]'s finite state at time-grid
+    step k, or the square of one, that left the float range."""
+    if bad.any():
+        k, i = np.argwhere(bad.T)[0]
+        raise BlowUpError(int(k), level=levels[i],
+                          what="squared norm of a finite state left the float range")
 
 
 def _raise_if_nonfinite(step_index, level, path_indices, x):

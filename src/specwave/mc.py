@@ -48,7 +48,6 @@ __all__ = [
     "cos_pairing",
     "coordinate",
     "StudyReport",
-    "estimate_functional",
     "run_study",
 ]
 
@@ -148,24 +147,6 @@ def _mean_stderr(values: np.ndarray):
     return mean, np.sqrt(var / n)
 
 
-def estimate_functional(phi: TestFunctional, config: SimConfig, level: int,
-                        n_paths: int, master_seed: int, *, workers: int | None = None):
-    """Sample mean and standard error of phi at one level, uncoupled."""
-    if n_paths < 2:
-        raise ValueError(f"n_paths must be at least 2, got {n_paths}")
-    if level != config.n_ref and level not in config.levels:
-        raise ValueError(f"level {level} not in configured levels")
-    values = np.empty(n_paths)
-
-    def work(chunk):
-        out = run_chunk(config, (level,), chunk, master_seed, phi=phi)
-        values[chunk.start:chunk.stop] = out["phi"][:, 0]
-
-    _map_chunks(work, _chunks(n_paths), workers)
-    mean, se = _mean_stderr(values)
-    return float(mean), float(se)
-
-
 def run_study(config: SimConfig, phi: TestFunctional, n_paths: int,
               master_seed: int, *, workers: int | None = None, coarsen: int = 1,
               monitor_rho: float = 0.0) -> StudyReport:
@@ -208,17 +189,23 @@ def run_study(config: SimConfig, phi: TestFunctional, n_paths: int,
 
     _map_chunks(work, list(enumerate(chunks)), workers)
 
+    sums = moment_sums.sum(axis=0)
+    # a finite state's squared norm, or its square, may overflow: that is
+    # raised, never returned as an infinity or a NaN.  The monitor squares
+    # each squared norm, so it overflows before the reductions below
+    with np.errstate(over="ignore", invalid="ignore"):
+        moment_mean = sums[..., 0] / n_paths
+        var = np.maximum(sums[..., 1] / n_paths - moment_mean**2, 0.0)
+        moment_stderr = np.sqrt(var * (n_paths / (n_paths - 1)) / n_paths)
+    integrator._raise_if_norm_overflow(
+        levels_run, ~(np.isfinite(moment_mean) & np.isfinite(moment_stderr)))
+
     diffs = phi_vals[:, :1] - phi_vals[:, 1:]
     weak, weak_se = _mean_stderr(diffs)
     s_mean, s_se = _mean_stderr(strong_sq)
     strong = np.sqrt(s_mean)
     with np.errstate(divide="ignore", invalid="ignore"):
         strong_se = np.where(s_mean > 0, s_se / (2.0 * np.where(s_mean > 0, strong, 1.0)), 0.0)
-
-    sums = moment_sums.sum(axis=0)
-    moment_mean = sums[..., 0] / n_paths
-    var = np.maximum(sums[..., 1] / n_paths - moment_mean**2, 0.0)
-    moment_stderr = np.sqrt(var * (n_paths / (n_paths - 1)) / n_paths)
 
     return StudyReport(weak, weak_se, strong, strong_se, moment_mean, moment_stderr)
 

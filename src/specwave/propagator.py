@@ -16,7 +16,7 @@ import numpy as np
 
 from .spectral import PairState, SpectralModel
 
-__all__ = ["rotation_tables", "propagate", "propagate_arrays"]
+__all__ = ["rotation_tables", "propagate"]
 
 
 def rotation_tables(model: SpectralModel, t: float, n_modes: int | None = None):

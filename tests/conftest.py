@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import specwave as sw
+from specwave import mc
+from specwave.integrator import run_chunk, step
 
 
 @pytest.fixture
@@ -59,11 +61,27 @@ def step_loop(config, master_seed, path_index, coarsen=1, observe=None):
         for k, dw in enumerate(noise):
             if observe is not None:
                 observe(level, k, state)
-            state = sw.step(state, dt, dw, config.spec, config.grid, config.model)
+            state = step(state, dt, dw, config.spec, config.grid, config.model)
         if observe is not None:
             observe(level, len(noise), state)
         out[level] = state
     return out
+
+
+def estimate_functional(phi, config, level, n_paths, master_seed):
+    """Sample mean and standard error of phi at one level, uncoupled.
+
+    Runs the paths in ``run_study``'s blocks and reduces them as it does.
+    """
+    values = np.empty(n_paths)
+
+    def work(chunk):
+        values[chunk.start:chunk.stop] = run_chunk(config, (level,), chunk, master_seed,
+                                                   phi=phi)["phi"][:, 0]
+
+    mc._map_chunks(work, mc._chunks(n_paths), None)
+    mean, se = mc._mean_stderr(values)
+    return float(mean), float(se)
 
 
 def phi_at(phi, state, model):

@@ -21,7 +21,7 @@ import specwave as sw
 from specwave.cli import main
 from specwave.config import load_config
 
-from conftest import truncated
+from conftest import estimate_functional, truncated
 
 SEED = 12345
 CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs",
@@ -147,7 +147,7 @@ def test_criterion_5_ito_isometry_additive():
         return (p * p).sum(axis=-1) + (v * v * inv_lam).sum(axis=-1)
 
     h0sq = sw.TestFunctional("h0_sq", False, eval_batch)
-    mean, se = sw.estimate_functional(h0sq, cfg, n, n_paths, SEED)
+    mean, se = estimate_functional(h0sq, cfg, n, n_paths, SEED)
     ok = abs(mean - closed) <= 3.0 * se
     criterion(5, ok,
               f"E||X_T||^2 = {mean:.6f} vs closed form {closed:.6f} "

@@ -5,13 +5,14 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import specwave as sw
 from specwave import mc
-from specwave.cli import _build_report, main
+from specwave.cli import _build_report, _write_json, main
 from specwave.config import load_config
 from specwave.spectral import pair_norm_sq, pair_weights
 
@@ -510,6 +511,65 @@ class TestSimulateAcrossProcesses:
             outs.append(out)
         assert read(outs[0] / "norms.csv") == read(outs[1] / "norms.csv")
         assert read(outs[0] / "state.json") == read(outs[1] / "state.json")
+
+
+# a finite state whose squared norm overflows: 1e160 squared is beyond float range
+NORM_OVERFLOW = {
+    "model": {"theta": 1.0, "n_ref": 8, "initial": {"pos": {"1": 1e160, "5": 1.0}, "vel": {}}},
+    "time": {"t_final": 1.0, "n_steps": 8},
+    "noise": {"m_noise": 8},
+    "coefficients": {"preset": "zero"},
+    "study": {"levels": [2, 3, 4], "n_paths": 4,
+              "functional": {"kind": "coordinate", "mode": 5, "component": "pos"}},
+}
+
+
+class TestOutputGuards:
+    @pytest.mark.parametrize("pos", [{"1": 1e160, "5": 1.0}, {"5": 1e160}],
+                             ids=["every-level", "above-the-levels"])
+    @pytest.mark.parametrize("command, written", [
+        ("convergence", "report.json"), ("simulate", "norms.csv")])
+    def test_norm_overflow_exits_three_and_writes_nothing(self, tmp_path, capsys, command,
+                                                          written, pos):
+        # report.json held Infinity and NaN in its moment monitor, not JSON,
+        # and norms.csv held inf rows; a state above the study levels also
+        # overflows the strong gaps, which warned before the monitor raised
+        obj = json.loads(json.dumps(NORM_OVERFLOW))
+        obj["model"]["initial"]["pos"] = pos
+        cfg = write_config(tmp_path, obj)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", cfg, "--seed", "1", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "step 0, level 8" in err and "squared norm" in err and "float range" in err
+        assert not (out / written).exists()
+
+    def test_json_refuses_nan_and_writes_no_file(self, tmp_path):
+        with pytest.raises(ValueError):
+            _write_json(str(tmp_path / "x.json"), {"v": float("nan")})
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("command, flag_out, config_out, field", [
+        ("simulate", "file", None, "out"),
+        ("convergence", "file", None, "out"),
+        ("convergence", None, "file/below", "directory"),
+    ], ids=["simulate-out-file", "convergence-out-file", "directory-under-file"])
+    def test_bad_output_path_exits_two_before_any_path(self, tmp_path, monkeypatch, capsys,
+                                                       command, flag_out, config_out, field):
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        obj = json.loads(json.dumps(ZERO_CONFIG))
+        if config_out is not None:
+            obj["output"] = {"directory": str(tmp_path / config_out)}
+        cfg = write_config(tmp_path, obj)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a path ran before the output directory was made")
+
+        monkeypatch.setattr(mc, "run_chunk", refuse)
+        flags = [] if flag_out is None else ["--out", str(tmp_path / flag_out)]
+        assert main([command, "--config", cfg, "--seed", "1", *flags]) == 2
+        assert f"(field: {field})" in capsys.readouterr().err
 
 
 class TestBound:

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 import specwave as sw
 from specwave.coefficients import diffusion_vel, drift_vel
+from specwave.integrator import step
 
 SQRT2 = math.sqrt(2.0)
 
@@ -54,7 +55,7 @@ class TestDrift:
         spec = sw.CoefficientSpec(beta=0.0, drift=lambda x, y: np.full_like(y, np.inf))
         st = sw.PairState(np.ones(8), np.zeros(8))
         with pytest.raises(sw.BlowUpError):
-            sw.step(st, 0.1, np.zeros(8), spec, grid32, model8)
+            step(st, 0.1, np.zeros(8), spec, grid32, model8)
 
 
 class TestDiffusion:

@@ -265,8 +265,10 @@ def _declared(drop=(), **values):
     (_declared(beta=0.4), "beta"),
     (_declared(drop=("hs_tol",)), "hs_tol"),
     (_declared(b_lip0_hs=14), "b_lip0_hs"),
+    (_declared(moment_f_lip=1000.0), "moment_f_lip"),
 ], ids=["phi_c2b-missing", "phi_c2b-list", "moment_b_hss", "moment_f_lip-alone",
-        "beta-outside-window", "hs_tol-default-at-beta-0.7", "b_lip0_hs-overflow"])
+        "beta-outside-window", "hs_tol-default-at-beta-0.7", "b_lip0_hs-overflow",
+        "moment-envelope-overflow"])
 def test_declared_norm_fault_exits_before_the_study(tmp_path, capsys, monkeypatch,
                                                     declared, key):
     # each of these used to run the whole study before failing, or to pass

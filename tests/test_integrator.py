@@ -12,7 +12,7 @@ import specwave as sw
 from specwave import integrator
 from specwave.coefficients import diffusion_vel, drift_vel
 from specwave.config import load_config
-from specwave.integrator import run_chunk
+from specwave.integrator import run_chunk, step
 from specwave.spectral import pair_weights
 
 from conftest import (expected_row, phi_at, small_anderson_config, step_loop, truncated,
@@ -25,7 +25,7 @@ class TestStep:
     def test_zero_spec_reduces_to_group(self, model8, grid32):
         rng = np.random.default_rng(0)
         st = sw.PairState(rng.standard_normal(8), rng.standard_normal(8))
-        out = sw.step(st, 0.125, rng.standard_normal(8), sw.preset("zero"), grid32, model8)
+        out = step(st, 0.125, rng.standard_normal(8), sw.preset("zero"), grid32, model8)
         want = sw.propagate(st, 0.125, model8)
         assert np.array_equal(out.pos, want.pos)
         assert np.array_equal(out.vel, want.vel)
@@ -37,7 +37,7 @@ class TestStep:
         spec = sw.CoefficientSpec(beta=0.0, drift=lambda x, y: np.ones_like(y))
         st = sw.PairState([0.0], [0.0])
         dt = 0.1
-        out = sw.step(st, dt, np.zeros(1), spec, grid, model)
+        out = step(st, dt, np.zeros(1), spec, grid, model)
         drift = drift_vel(st.pos, spec, grid, 1)
         want = sw.propagate(sw.PairState([0.0], dt * drift), dt, model)
         assert np.max(np.abs(out.pos - want.pos)) < 1e-12
@@ -54,7 +54,7 @@ class TestStep:
         draws = rng.standard_normal((100_000, 8)) * math.sqrt(dt)
         second = np.mean((sigma * draws) ** 2, axis=0)
         assert np.max(np.abs(second - sigma**2 * dt)) < 3e-3  # 100k-draw oracle
-        out = sw.step(st, dt, draws[0], spec, grid32, model8)
+        out = step(st, dt, draws[0], spec, grid32, model8)
         kick = diffusion_vel(st.pos, draws[0], spec, grid32, 8)
         want = sw.propagate(sw.PairState(np.zeros(8), kick), dt, model8)
         assert np.array_equal(out.pos, want.pos)
@@ -66,12 +66,12 @@ class TestStep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(sw.BlowUpError):
-                sw.step(st, 0.1, np.zeros(8), sw.preset("zero"), grid32, model8)
+                step(st, 0.1, np.zeros(8), sw.preset("zero"), grid32, model8)
 
     def test_rejects_nonpositive_dt(self, model8, grid32):
         st = sw.PairState(np.zeros(8), np.zeros(8))
         with pytest.raises(ValueError):
-            sw.step(st, 0.0, np.zeros(8), sw.preset("zero"), grid32, model8)
+            step(st, 0.0, np.zeros(8), sw.preset("zero"), grid32, model8)
 
 
 class TestSimConfig:
@@ -155,10 +155,13 @@ class TestSimulatePath:
                 assert np.array_equal(pos[row], want.pos), level
                 assert np.array_equal(vel[row], want.vel), level
 
-    def test_unknown_level_rejected(self):
-        cfg = small_anderson_config()
-        with pytest.raises(ValueError, match="level 5"):
-            sw.estimate_functional(sw.exp_neg_norm(), cfg, 5, 8, 1)
+    @pytest.mark.parametrize("level", [0, 9])
+    def test_level_outside_reference_rejected(self, level):
+        # level 0 ran silently with (b, 0) states; level 9 died in a numpy
+        # broadcast that named no level
+        cfg = zero_config()
+        with pytest.raises(ValueError, match=f"level {level} "):
+            run_chunk(cfg, (cfg.n_ref, level), range(2), 1)
 
     @pytest.mark.parametrize("level", [4, 16])
     def test_additive_chunk_step_is_propagated_kick(self, level):
