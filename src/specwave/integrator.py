@@ -207,29 +207,48 @@ def step(state: PairState, dt: float, dw: np.ndarray, spec: CoefficientSpec,
 #
 # The working set of one call on b paths is, in doubles: the states, 2 b L
 # per level L; the noise values, 2 span b h per level, with h = (L +
-# min(L, m_noise) + 1) // 2; one noise burst; and one scratch array of
-# max(2 b L, b L + 2 b h, span b m_noise) doubles for the largest level
-# (2 b L when no Anderson product runs).  The levels take their step in turn
-# and none keeps anything in the scratch from one level-step to the next, so
-# they share it.  At the start of a span it holds the span's increments
-# split by mode parity (span b m_noise), read only by the noise GEMMs.
-# Within a level-step it is used twice from its front: first the position's
-# parity halves v_odd and v_even (b L together), followed by two left-half
-# fields o_vals and e_vals (b h each); once the synthesis has read the
-# halves, B's first term O_v E_w takes their place.  E_v E_w is written over
-# the step's even noise values and E_v O_w over e_vals, and the analysis
-# writes the product's odd- and even-mode coefficients over the fronts of
-# the step's noise values (h >= ceil(L / 2)): each step's noise values are
-# read by that one level-step alone.  Then, once vel holds the product, the
-# scratch holds the rotation's tmp (2 b L), whose first row is also the
-# field of a pointwise or drift term.  The burst, the noise values and the
-# generators die with ``_step_block``'s frame, so after the last step only
-# the states and the scratch are left: the strong gaps difference each level
-# against the reference in the scratch, and the functional's and the gaps'
+# min(L, m_noise) + 1) // 2; one noise burst; and one scratch array.  The
+# scratch is sized by its two block-wide users: the span's increments split
+# by mode parity (span b m_noise, when a product runs), read only by the
+# noise GEMMs at the start of a span, and, per level-step, a pointwise or
+# drift field or the moment monitor's square (b L for the largest level).
+# The monitor squares pos and then vel into it, each meeting its weights in
+# one GEMV over the block.  Everything else a level-step keeps in the
+# scratch is local to a path's row, so the product and the rotation run
+# over tiles of t rows: t is the largest multiple of 64 with t max(2 L, L +
+# 2 h) within that size, and a remainder of fewer than 64 rows joins the
+# tile before.  A level of which fewer than 64 rows fit runs in one tile
+# (so does b < 64, a single path, or a run with no product, no dense field
+# and no monitor), and the scratch grows to hold the largest tile.  Within a tile
+# the scratch holds the tile's parity halves of the position (t L
+# together), followed by two left-half fields o_vals and e_vals (t h each);
+# once the synthesis has read the halves, B's first term O_v E_w takes
+# their place.
+# E_v E_w is written over the tile's rows of the step's even noise values
+# and E_v O_w over e_vals, and the analysis writes the product's odd- and
+# even-mode coefficients over the fronts of those rows (h >= ceil(L / 2)):
+# each step's noise values are read by that one level-step alone.  Then
+# each rotation tile holds its tmp (2 t L).
+#
+# A tile must leave every GEMM's bits as the whole block gives them.  In
+# numpy's bundled OpenBLAS (the SkylakeX kernels), a row of a GEMM over a
+# tile that starts on a 16-row boundary keeps its bits for the flagship's
+# tables, but not for every shape: the small-matrix kernels, and the
+# kernels for a column count above 192 that is not a multiple of 8, sum a
+# row in an order that depends on the row count, and one row goes to GEMV.
+# So tiles hold multiples of 64 rows, and ``_tiles_keep_bits`` measures,
+# once per shape, that the tiled GEMMs give the whole block's bits; where
+# they do not, the level runs in one tile.  The rotation is elementwise.
+#
+# The burst, the noise values, the generators and the scratch die with
+# ``_step_block``'s frame, so after the last step only the states are left:
+# the strong gaps difference each level against the reference in two
+# b x n_ref arrays of their own, which with the functional's and the gaps'
 # temporaries (2 b n_ref) take the freed room.  Each call allocates its own
 # scratch, so concurrent blocks share none.  On a flagship block (b = 512)
-# that is 13.6 MB, and tracemalloc reads 14.2 MB (15.1 MB with the moment
-# monitor's b x n_ref square).
+# the reference runs in four tiles of 128 rows and the levels in one, the
+# scratch is 131 072 doubles, the block 11.5 MB, and tracemalloc reads
+# 12.1 MB with the monitor.
 
 def _sine_synthesis(n_modes: int, p: int) -> np.ndarray:
     """e_n at the interior nodes q/p: entry [n-1, q-1] for n <= n_modes, q < p."""
@@ -364,7 +383,7 @@ def _coarse_steps(n_steps: int, coarsen: int) -> int:
 @_single_blas_thread()
 def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
               master_seed: int, *, coarsen: int = 1, phi=None,
-              strong_vs_first: bool = False, observe=None):
+              strong_vs_first: bool = False, monitor=None, observe=None):
     """Advance one block of coupled paths through all requested levels.
 
     The call runs on one BLAS thread, so no sum's order depends on the
@@ -375,9 +394,12 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
     one row per path, not copies.  ``phi`` adds the functional values per
     path and level under ``"phi"``; ``strong_vs_first`` the squared
     pair-space gaps to levels[0], the reference, under ``"strong_sq"``.
-    ``observe(i, k, pos, vel)``, if given, sees the same views of levels[i]'s
-    state at every step k = 0..n_steps/coarsen, inside the engine's error
-    state; they are valid only during the call.
+    ``monitor = (weights, sums)`` records the moment monitor: at every step
+    k = 0..n_steps/coarsen, sums[i, k] gets the sum over paths of levels[i]'s
+    squared norm under the weights[i] = (w_pos, w_vel), and of its square
+    (``_record_moment``).  ``observe(i, k, pos, vel)``, if given, sees the
+    same views of levels[i]'s state at every step k, inside the engine's
+    error state; they are valid only during the call.
     """
     b = len(path_indices)
     if b < 1:
@@ -385,10 +407,11 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
     for level in levels:
         if not 1 <= level <= config.n_ref:
             raise ValueError(f"level {level} outside 1..{config.n_ref}")
-    # the noise buffers and the generators die with _step_block's frame,
-    # before the functional and the gaps allocate their temporaries
-    states, scratch = _step_block(config, levels, path_indices, master_seed, coarsen,
-                                  observe)
+    # the noise buffers, the generators and the scratch die with
+    # _step_block's frame, before the functional and the gaps allocate
+    # their temporaries
+    states = _step_block(config, levels, path_indices, master_seed, coarsen, monitor,
+                         observe)
     model = config.model
     out = {"states": states}
     if phi is not None:
@@ -397,7 +420,7 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
         ref_pos, ref_vel = states[0]
         weights = pair_weights(model, levels[0], 0.0)
         gaps = np.empty((b, len(levels) - 1))
-        dp, dv = _carve(scratch, ref_pos.shape, ref_vel.shape)
+        dp, dv = np.empty_like(ref_pos), np.empty_like(ref_vel)
         for j, (level, (pos, vel)) in enumerate(zip(levels[1:], states[1:])):
             np.copyto(dp, ref_pos)
             dp[:, :level] -= pos
@@ -408,8 +431,8 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
     return out
 
 
-def _step_block(config, levels, path_indices, master_seed, coarsen, observe):
-    """run_chunk's stepping: each level's terminal (pos, vel) and the scratch."""
+def _step_block(config, levels, path_indices, master_seed, coarsen, monitor, observe):
+    """run_chunk's stepping: each level's terminal (pos, vel)."""
     model, spec, grid = config.model, config.spec, config.grid
     b = len(path_indices)
     m = config.m_noise
@@ -430,54 +453,84 @@ def _step_block(config, levels, path_indices, master_seed, coarsen, observe):
         w_vals = np.empty((b, g)) if pointwise else None
         bw = np.empty((b, g)) if pointwise else None
 
-    # per level: (level, x, tmp, cos_t, sines, product); tmp is the rotation's
-    # buffer (its first row also a dense field's) and sines = (sin/mu, -mu sin)
-    # meets x[::-1].  An Anderson product holds its grid's weighted noise
-    # values (odd/even, step of the span, path, node), formed by one GEMM pair
-    # per span, its mirror-half tables (``_engine_tables``) and views for its
-    # odd- and even-mode coefficients, two left-half fields and B's sum.  Each
-    # level keeps its own noise values: in one GEMM over several grids, BLAS
-    # may sum a level's columns in an order that depends on the other levels.
-    # tmp, the product's views and the span's split increments all lie at the
-    # front of one scratch array, sized for the largest level (see the engine
-    # notes)
+    # the scratch is sized by its block-wide users, the span's split
+    # increments and a dense field or the monitor's square; each level's
+    # product and rotation then run over as many rows at once as fit (see
+    # the engine notes), and only a level of which not one tile fits grows it
     span = max(1, _NOISE_SPAN_BYTES // (8 * b * m))
-    top = max(levels, default=0)
-    size = 2 * b * top
-    if beta != 0.0:
-        size = max(size, b * top + 2 * b * ((top + min(top, m) + 1) // 2), span * b * m)
-    scratch = np.empty(size)
-    runs = []
-    noise_maps = []
+    size = span * b * m if beta != 0.0 else 0
+    if dense or monitor is not None:
+        size = max(size, b * max(levels, default=0))
+    plans = []
     for level in levels:
+        nodes = level + min(level, m)
+        h = (nodes + 1) // 2
+        row = max(2 * level, level + 2 * h) if beta != 0.0 else 2 * level
+        bounds = _row_tiles(b, size // row, (level, nodes) if beta != 0.0 else None)
+        plans.append((level, nodes, h, bounds))
+        size = max(size, row * max(hi - lo for lo, hi in zip(bounds, bounds[1:])))
+    scratch = np.empty(size)
+
+    # per level: (level, x, whole, cos_t, sines, tables, products,
+    # rotations), all views built here so that the step loop indexes
+    # nothing.  whole is a (paths, modes) view of the scratch, a dense
+    # field's or the monitor's square, and sines = (sin/mu, -mu sin) meets
+    # x[::-1].  An Anderson product holds its grid's weighted noise values w
+    # (odd/even, step of the span, path, node), formed by one GEMM pair per
+    # span (``noise_runs``), and its mirror-half tables; each of its row
+    # tiles holds its parity views of pos and vel, its scratch fields, and
+    # per step of the span its noise values and the analysis's fronts of
+    # them.  Each level keeps its own noise values: in one GEMM over several
+    # grids, BLAS may sum a level's columns in an order that depends on the
+    # other levels
+    runs = []
+    noise_runs = []
+    for level, nodes, h, bounds in plans:
         x = np.empty((2, b, level))
         x[0] = config.initial.pos[:level]
         x[1] = config.initial.vel[:level]
+        pos, vel = x
         cos_t, sin_t, mu = rotation_tables(model, dt, level)
         sines = np.stack([sin_t / mu, -mu * sin_t])[:, None, :]
-        product = None
+        whole = _carve(scratch, (b, level))[0] if dense or monitor is not None else None
+        w, tables, products, rotations = None, None, [], []
         if beta != 0.0:
-            nodes = level + min(level, m)
-            h = (nodes + 1) // 2
             w = np.empty((2, span, b, h))
-            noise_maps.append((*_noise_map(m, nodes), w))
-            views = (*_carve(scratch, (b, (level + 1) // 2), (b, level // 2), (b, h), (b, h)),
-                     *_carve(scratch, (b, h)))
-            product = (w, _engine_tables(level, nodes), views)
-        tmp, = _carve(scratch, (2, b, level))
-        runs.append((level, x, tmp, cos_t, sines, product))
+            noise_runs.append((*_noise_map(m, nodes), w.reshape(2, span * b, h)))
+            tables = _engine_tables(level, nodes)
+        for lo, hi in zip(bounds, bounds[1:]):
+            t = hi - lo
+            rotations.append((x[:, lo:hi], x[::-1, lo:hi], *_carve(scratch, (2, t, level))))
+            if w is None:
+                continue
+            ko, ke = (level + 1) // 2, level // 2
+            slots = [(w[0, s, lo:hi], w[1, s, lo:hi],
+                      *_carve(w[0, s, lo:hi].reshape(-1), (t, ko)),
+                      *_carve(w[1, s, lo:hi].reshape(-1), (t, ke))) for s in range(span)]
+            products.append((pos[lo:hi, 0::2], pos[lo:hi, 1::2],
+                             vel[lo:hi, 0::2], vel[lo:hi, 1::2],
+                             *_carve(scratch, (t, ko), (t, ke), (t, h), (t, h)),
+                             *_carve(scratch, (t, h)), slots))
+        runs.append((level, x, whole, cos_t, sines, tables, products, rotations))
 
     gens = [np.random.default_rng(path_seed(master_seed, idx)) for idx in path_indices]
     burst = max(1, _NOISE_BURST_BYTES // (8 * b * m * coarsen))
     burst_fine = min(burst * coarsen, config.n_steps)
     block = np.empty((b, burst_fine, m))
     coarse = np.empty((b, burst_fine // coarsen, m)) if coarsen > 1 else None
+    if noise_runs:
+        # the span's increments split by mode parity, read only by the noise GEMMs
+        dw_odd, dw_even = _carve(scratch, (span, b, (m + 1) // 2), (span, b, m // 2))
+    if monitor is not None:
+        moment_weights, moment_sums = monitor
 
     # a non-finite coefficient field leaves the rotated state non-finite, so
     # the one probe per level-step reports it as a blow-up of its path
     with np.errstate(over="ignore", invalid="ignore"):
-        if observe is not None:
-            for i, (_, x, *_) in enumerate(runs):
+        for i, (_, x, whole, *_) in enumerate(runs):
+            if monitor is not None:
+                _record_moment(moment_sums[i, 0], *x, *moment_weights[i], whole)
+            if observe is not None:
                 observe(i, 0, *x)
         k = 0
         fine_done = 0
@@ -500,36 +553,36 @@ def _step_block(config, levels, path_indices, master_seed, coarsen, observe):
                 if pointwise:
                     np.matmul(dwk, synth[:m], out=w_vals)
                 s = j % span
-                if noise_maps and s == 0:
+                if noise_runs and s == 0:
                     n = min(span, n_burst - j)
                     rows = steps[:, j:j + n].transpose(1, 0, 2)
                     # no level-step holds the scratch while the span's noise
                     # values are formed
-                    dw_odd, dw_even = _carve(scratch, (n, b, (m + 1) // 2), (n, b, m // 2))
-                    np.copyto(dw_odd, rows[:, :, 0::2])
-                    np.copyto(dw_even, rows[:, :, 1::2])
-                    odd_in = dw_odd.reshape(n * b, -1)
-                    even_in = dw_even.reshape(n * b, -1)
-                    for map_odd, map_even, w in noise_maps:
-                        np.matmul(odd_in, map_odd, out=w[0, :n].reshape(n * b, -1))
-                        np.matmul(even_in, map_even, out=w[1, :n].reshape(n * b, -1))
-                for i, (level, x, tmp, cos_t, sines, product) in enumerate(runs):
+                    np.copyto(dw_odd[:n], rows[:, :, 0::2])
+                    np.copyto(dw_even[:n], rows[:, :, 1::2])
+                    odd_in = dw_odd[:n].reshape(n * b, -1)
+                    even_in = dw_even[:n].reshape(n * b, -1)
+                    for map_odd, map_even, w in noise_runs:
+                        np.matmul(odd_in, map_odd, out=w[0, :n * b])
+                        np.matmul(even_in, map_even, out=w[1, :n * b])
+                for i, run in enumerate(runs):
+                    level, x, whole, cos_t, sines, tables, products, rotations = run
                     pos, vel = x
                     if dense:
                         s_level = synth[:level]
-                        field = tmp[0]
                         np.matmul(pos, s_level, out=u)
                     if pointwise:
                         np.multiply(_on_grid(spec.pointwise_b, grid.nodes, u), w_vals, out=bw)
-                        np.matmul(bw, s_level.T, out=field)
-                        field /= grid.intervals
-                        vel += field
-                    if product is not None:
-                        w, (s_odd, s_even, p_odd, p_even), views = product
-                        v_odd, v_even, o_vals, e_vals, b_part = views
-                        w_odd, w_even = w[0, s], w[1, s]
-                        np.copyto(v_odd, pos[:, 0::2])
-                        np.copyto(v_even, pos[:, 1::2])
+                        np.matmul(bw, s_level.T, out=whole)
+                        whole /= grid.intervals
+                        vel += whole
+                    if products:
+                        s_odd, s_even, p_odd, p_even = tables
+                    for (pos_odd, pos_even, vel_odd, vel_even, v_odd, v_even, o_vals, e_vals,
+                         b_part, slots) in products:
+                        w_odd, w_even, a_odd, a_even = slots[s]
+                        np.copyto(v_odd, pos_odd)
+                        np.copyto(v_even, pos_even)
                         np.matmul(v_odd, s_odd, out=o_vals)
                         np.matmul(v_even, s_even, out=e_vals)
                         # B = O_v E_w + E_v O_w, the part odd about x = 1/2,
@@ -543,33 +596,79 @@ def _step_block(config, levels, path_indices, master_seed, coarsen, observe):
                         o_vals += w_even
                         # only this level-step reads step s's noise values,
                         # so the analysis writes over them
-                        a_odd, = _carve(w_odd.reshape(-1), (b, (level + 1) // 2))
-                        a_even, = _carve(w_even.reshape(-1), (b, level // 2))
                         np.matmul(o_vals, p_odd, out=a_odd)
                         np.matmul(b_part, p_even, out=a_even)
                         if beta != 1.0:
                             a_odd *= beta
                             a_even *= beta
-                        vel[:, 0::2] += a_odd
-                        vel[:, 1::2] += a_even
+                        vel_odd += a_odd
+                        vel_even += a_even
                     if alpha != 0.0:
                         kk = min(level, m)
                         vel[:, :kk] += alpha * dwk[:, :kk]
                     if drift is not None:
-                        np.matmul(_on_grid(drift, grid.nodes, u), s_level.T, out=field)
-                        field /= grid.intervals
-                        field *= dt
-                        vel += field
+                        np.matmul(_on_grid(drift, grid.nodes, u), s_level.T, out=whole)
+                        whole /= grid.intervals
+                        whole *= dt
+                        vel += whole
                     # (pos, vel) <- (cos pos + sin/mu vel, cos vel - mu sin pos)
-                    np.multiply(x[::-1], sines, out=tmp)
-                    x *= cos_t
-                    x += tmp
+                    for x_rows, swapped, tmp in rotations:
+                        np.multiply(swapped, sines, out=tmp)
+                        x_rows *= cos_t
+                        x_rows += tmp
                     _raise_if_nonfinite(k, level, path_indices, x)
+                    if monitor is not None:
+                        _record_moment(moment_sums[i, k + 1], pos, vel, *moment_weights[i],
+                                       whole)
                     if observe is not None:
                         observe(i, k + 1, pos, vel)
                 k += 1
 
-    return [(x[0], x[1]) for _, x, *_ in runs], scratch
+    return [(x[0], x[1]) for _, x, *_ in runs]
+
+
+# a level-step's tiles hold a multiple of this many rows: a whole number of
+# every row block of the dgemm kernels in numpy's bundled OpenBLAS, and never
+# a single row, which numpy sends to GEMV
+_ROW_QUANTUM = 64
+
+
+def _row_tiles(b, fits, product):
+    """Row bounds (0, ..., b) of a level-step's tiles of b paths.
+
+    Each tile holds the largest multiple of _ROW_QUANTUM rows that is at
+    most ``fits``, and a remainder below it joins the tile before.  One tile
+    holds every row when fewer than _ROW_QUANTUM fit, or when ``product`` =
+    (level, nodes) names a product whose GEMMs give some tiled row other bits
+    than the whole block (``_tiles_keep_bits``).
+    """
+    t = fits // _ROW_QUANTUM * _ROW_QUANTUM
+    if t < _ROW_QUANTUM or t >= b:
+        return (0, b)
+    bounds = list(range(0, b, t))
+    if b - bounds[-1] < _ROW_QUANTUM:
+        bounds.pop()
+    bounds = (*bounds, b)
+    if product is not None and not _tiles_keep_bits(*product, bounds):
+        return (0, b)
+    return bounds
+
+
+@lru_cache(maxsize=16)
+def _tiles_keep_bits(level, nodes, bounds):
+    """Whether the four GEMMs of level L's product on d = nodes nodes give
+    every row the same bits over the row tiles ``bounds`` as over the whole
+    block, measured on a probe matrix (see the engine notes): the order of a
+    GEMM's sums follows its shape, not its operands' values.
+    """
+    rng = np.random.default_rng(0)
+    for table in _engine_tables(level, nodes):
+        a = rng.standard_normal((bounds[-1], table.shape[0]))
+        whole = a @ table
+        for lo, hi in zip(bounds, bounds[1:]):
+            if not np.array_equal(np.ascontiguousarray(a[lo:hi]) @ table, whole[lo:hi]):
+                return False
+    return True
 
 
 def _carve(scratch, *shapes):
@@ -607,9 +706,12 @@ def _raise_if_nonfinite(step_index, level, path_indices, x):
             raise BlowUpError(step_index, level=level, path_index=path_indices[bad[0]])
 
 
-# mc.run_study's moment monitor calls this here, where perfbench/tracing.py counts it
-def _record_moment(out, pos, vel, w_pos, w_vel):
-    """out[:] = (sum, sum of squares) over paths of the weighted squared norms."""
-    sq = (pos * pos) @ w_pos + (vel * vel) @ w_vel
+# the stepping loop calls this through the module global, where
+# perfbench/tracing.py counts it
+def _record_moment(out, pos, vel, w_pos, w_vel, square):
+    """out[:] = (sum, sum of squares) over paths of the weighted squared
+    norms, squaring pos and then vel into ``square``, an array of their shape."""
+    sq = np.multiply(pos, pos, out=square) @ w_pos
+    sq += np.multiply(vel, vel, out=square) @ w_vel
     out[0] = sq.sum()
     out[1] = sq @ sq

@@ -179,11 +179,8 @@ def run_study(config: SimConfig, phi: TestFunctional, n_paths: int,
 
     def work(ci_chunk):
         ci, chunk = ci_chunk
-
-        def observe(i, k, pos, vel):
-            integrator._record_moment(moment_sums[ci, i, k], pos, vel, *weights[i])
         out = run_chunk(config, levels_run, chunk, master_seed, coarsen=coarsen,
-                        phi=phi, strong_vs_first=True, observe=observe)
+                        phi=phi, strong_vs_first=True, monitor=(weights, moment_sums[ci]))
         phi_vals[chunk.start:chunk.stop] = out["phi"]
         strong_sq[chunk.start:chunk.stop] = out["strong_sq"]
 

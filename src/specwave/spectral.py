@@ -177,13 +177,15 @@ def _cos_sine_inner(m_max: int, n_max: int) -> np.ndarray:
     """<e_j, cos(m pi .)> for m = 0..m_max (rows) and modes j = 1..n_max.
 
     Closed form: 2 sqrt(2) j / (pi (j^2 - m^2)) when j + m is odd, zero
-    otherwise.
+    otherwise; only that half is evaluated.
     """
-    m = np.arange(m_max + 1, dtype=np.float64)[:, None]
-    j = np.arange(1, n_max + 1, dtype=np.float64)[None, :]
-    odd = (m + j) % 2 == 1
-    denom = np.where(odd, j * j - m * m, 1.0)
-    return np.where(odd, 2.0 * SQRT2 * j / (np.pi * denom), 0.0)
+    out = np.zeros((m_max + 1, n_max))
+    for p in (0, 1):
+        # rows m = p, p + 2, ... meet the modes j = p + 1, p + 3, ...
+        m = np.arange(p, m_max + 1, 2, dtype=np.float64)[:, None]
+        j = np.arange(p + 1, n_max + 1, 2, dtype=np.float64)[None, :]
+        out[p::2, p::2] = 2.0 * SQRT2 * j / (np.pi * (j * j - m * m))
+    return out
 
 
 @lru_cache(maxsize=32)

@@ -516,48 +516,130 @@ class TestNoiseSpans:
 class TestWorkingSet:
     """run_chunk's peak allocation against the per-block budget of the engine notes."""
 
-    @pytest.mark.parametrize("n_ref, monitor", [
-        (32, False),
+    @pytest.mark.parametrize("n_ref, b, monitor", [
+        (32, 128, False),
         # the functional's and the gaps' temporaries, 2 b n_ref doubles, fit
         # only once the noise buffers are freed
-        (256, False),
-        # run_study's moment monitor squares one level's position, then its
-        # velocity: a b x n_ref transient at the reference
-        (256, True),
-    ], ids=["levels", "reference", "monitor"])
-    def test_peak_within_budget(self, n_ref, monitor):
+        (256, 128, False),
+        # run_study's moment monitor squares each level's position, then its
+        # velocity, into the scratch
+        (256, 128, True),
+        # the reference's product and rotation run in four 64-row tiles in
+        # the room of the monitor's square
+        (256, 256, True),
+    ], ids=["levels", "reference", "monitor", "tiled"])
+    def test_peak_within_budget(self, n_ref, b, monitor):
         # one step of increments fills the span budget, so each span is one step
-        b, m = 128, 256
+        m = 256
         cfg = small_anderson_config(n_ref=n_ref, levels=(4, 8, 16), n_steps=4, m_noise=m)
         levels = (cfg.n_ref, *cfg.levels)
-        phi = sw.exp_neg_norm()
-        observe = None
+        kwargs = {"phi": sw.exp_neg_norm(), "strong_vs_first": True}
         if monitor:
-            sums = np.zeros((len(levels), cfg.n_steps + 1, 2))
             weights = [pair_weights(cfg.model, level, 0.0) for level in levels]
-
-            def observe(i, k, pos, vel):
-                integrator._record_moment(sums[i, k], pos, vel, *weights[i])
-        run_chunk(cfg, levels, range(b), 5, phi=phi, strong_vs_first=True)  # builds the tables
+            kwargs["monitor"] = (weights, np.zeros((len(levels), cfg.n_steps + 1, 2)))
+        run_chunk(cfg, levels, range(b), 5, **kwargs)  # builds the tables
         tracemalloc.start()
         try:
-            run_chunk(cfg, levels, range(b), 5, phi=phi, strong_vs_first=True, observe=observe)
+            run_chunk(cfg, levels, range(b), 5, **kwargs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         hs = [(level + min(level, m) + 1) // 2 for level in levels]
         span = max(1, integrator._NOISE_SPAN_BYTES // (8 * b * m))
         burst = min(max(1, integrator._NOISE_BURST_BYTES // (8 * b * m)), cfg.n_steps)
-        top = max(levels)
+        # the scratch's block-wide users, then each level's tiles of 64-row
+        # multiples, or the whole block where not one fits or tiles would
+        # change a GEMM's bits
+        scratch = max(span * b * m, monitor * b * cfg.n_ref)
+        tiles = []
+        for level, h in zip(levels, hs):
+            row = max(2 * level, level + 2 * h)
+            t = scratch // row // 64 * 64
+            if not (64 <= t < b and b % t == 0 and integrator._tiles_keep_bits(
+                    level, level + min(level, m), (*range(0, b, t), b))):
+                t = b
+            tiles.append((t, row))
+        scratch = max(scratch, *(t * row for t, row in tiles))
+        assert tiles[0][0] == (64 if b == 256 else b)
         budget = 8 * (2 * b * sum(levels)                       # states
                       + 2 * span * b * sum(hs)                  # noise values
                       + burst * b * m                           # one burst
-                      + max(2 * b * top, b * top + 2 * b * max(hs), span * b * m)  # scratch
-                      + monitor * b * cfg.n_ref)                # the monitor's square
+                      + scratch)
         # per-step temporaries: a path's generator and seed take under 1 KiB,
         # and a ufunc buffers at most 3 operands of np.getbufsize() doubles
         slack = 1024 * b + 3 * 8 * np.getbufsize()
         assert peak <= budget + slack, (peak, budget, slack)
+
+
+class TestRowTiles:
+    """A level-step's product and rotation over row tiles keep every bit of
+    the whole block's."""
+
+    TILED = (0, 64, 128, 192, 256)
+
+    @staticmethod
+    def _config(n_ref, m_noise, levels, spec, n_steps):
+        model = sw.build_model(1.0, n_ref)
+        pos = 0.5 / np.arange(1, n_ref + 1)
+        return sw.SimConfig(model=model, levels=levels, t_final=1.0, n_steps=n_steps,
+                            m_noise=m_noise, spec=spec,
+                            initial=sw.PairState(pos, np.zeros(n_ref)),
+                            grid_points=n_ref + m_noise)
+
+    @staticmethod
+    def _run(cfg, b, coarsen):
+        levels = (cfg.n_ref, *cfg.levels)
+        weights = [pair_weights(cfg.model, level, 0.0) for level in levels]
+        sums = np.zeros((len(levels), cfg.n_steps // coarsen + 1, 2))
+        out = run_chunk(cfg, levels, range(3, 3 + b), 61, coarsen=coarsen,
+                        phi=sw.exp_neg_norm(), strong_vs_first=True,
+                        monitor=(weights, sums))
+        return out, sums
+
+    @pytest.mark.parametrize("n_ref, m_noise, levels, spec, coarsen, ref_bounds", [
+        # the flagship's shape: the reference in four 64-row tiles
+        (256, 256, (4, 8, 16, 32, 64), sw.preset("anderson"), 1, TILED),
+        (256, 256, (4, 8, 16, 32, 64), sw.CoefficientSpec(alpha=0.3, beta=0.7), 1, TILED),
+        # odd levels and h < L: 255 modes meet 128 noise modes on 383 nodes
+        (255, 128, (5, 9, 17, 33, 65), sw.preset("anderson"), 1, TILED),
+        # a drift's field takes the scratch between the product and the rotation
+        (256, 256, (4, 8, 16, 32, 64), sw.CoefficientSpec(drift=_tanh_drift), 1, TILED),
+        (256, 256, (4, 8, 16, 32, 64), sw.preset("anderson"), 2, TILED),
+        # 64-row tiles fit, but a 64-row synthesis of this reference is small
+        # enough for OpenBLAS's small-matrix kernels, which sum in another order
+        (200, 16, (4, 8, 16), sw.preset("anderson"), 1, (0, 256)),
+    ], ids=["anderson", "affine", "odd-levels", "drift", "coarsened", "bits-refuse-tiles"])
+    def test_tiles_match_one_tile(self, monkeypatch, n_ref, m_noise, levels, spec, coarsen,
+                                  ref_bounds):
+        b = 256
+        cfg = self._config(n_ref, m_noise, levels, spec, n_steps=2 * coarsen)
+        plans = []
+        row_tiles = integrator._row_tiles
+
+        def spy(*args):
+            plans.append(row_tiles(*args))
+            return plans[-1]
+        monkeypatch.setattr(integrator, "_row_tiles", spy)
+        tiled, tiled_sums = self._run(cfg, b, coarsen)
+        assert plans[0] == ref_bounds
+        monkeypatch.setattr(integrator, "_ROW_QUANTUM", 2 * b)
+        whole, whole_sums = self._run(cfg, b, coarsen)
+        assert all(plan == (0, b) for plan in plans[len(levels) + 1:])
+        for got, want in zip(tiled["states"], whole["states"]):
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert np.array_equal(tiled["phi"], whole["phi"])
+        assert np.array_equal(tiled["strong_sq"], whole["strong_sq"])
+        assert np.array_equal(tiled_sums, whole_sums)
+
+    @pytest.mark.parametrize("b, fits, bounds", [
+        (512, 170, (0, 128, 256, 384, 512)),
+        (512, 700, (0, 512)),       # every row fits
+        (512, 63, (0, 512)),        # fewer than 64 rows fit
+        (300, 128, (0, 128, 300)),  # a 44-row remainder joins the tile before
+        (100, 64, (0, 100)),
+    ])
+    def test_tile_rule(self, b, fits, bounds):
+        assert integrator._row_tiles(b, fits, None) == bounds
 
 
 class TestBlowUp:

@@ -6,6 +6,7 @@ import pytest
 import specwave as sw
 from specwave import integrator, mc
 from specwave.integrator import run_chunk
+from specwave.spectral import pair_weights
 
 from conftest import (estimate_functional, expected_row, phi_at, small_anderson_config,
                       step_loop, truncated, zero_config)
@@ -122,6 +123,28 @@ class TestWeakStrongStudy:
         assert np.array_equal(reports[0].weak_stderr, reports[1].weak_stderr)
         assert np.array_equal(reports[0].strong_error, reports[1].strong_error)
         assert np.array_equal(reports[0].moment_mean, reports[1].moment_mean)
+
+    def test_monitor_matches_fresh_squares(self):
+        # the monitor squares into the engine's scratch; an observer squaring
+        # into fresh arrays, as run_study's monitor once did, gives its bits
+        cfg = small_anderson_config(n_steps=8)
+        n_paths, seed = 600, 14
+        report = sw.run_study(cfg, sw.exp_neg_norm(), n_paths, seed, workers=1)
+        levels = (cfg.n_ref, *cfg.levels)
+        weights = [pair_weights(cfg.model, level, 0.0) for level in levels]
+        chunks = mc._chunks(n_paths)
+        sums = np.zeros((len(chunks), len(levels), cfg.n_steps + 1, 2))
+        for ci, chunk in enumerate(chunks):
+            def observe(i, k, pos, vel, _out=sums[ci]):
+                sq = (pos * pos) @ weights[i][0] + (vel * vel) @ weights[i][1]
+                _out[i, k] = sq.sum(), sq @ sq
+            run_chunk(cfg, levels, chunk, seed, observe=observe)
+        sums = sums.sum(axis=0)
+        mean = sums[..., 0] / n_paths
+        var = np.maximum(sums[..., 1] / n_paths - mean**2, 0.0)
+        stderr = np.sqrt(var * (n_paths / (n_paths - 1)) / n_paths)
+        assert np.array_equal(report.moment_mean, mean)
+        assert np.array_equal(report.moment_stderr, stderr)
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_nonpositive_workers_rejected(self, workers):

@@ -8,7 +8,8 @@ from scipy.integrate import quad
 
 import specwave as sw
 from specwave.integrator import _cosine_projection, _engine_tables, _noise_map, _sine_synthesis
-from specwave.spectral import _sine_from_cos_matrix, pair_norm_sq, pair_weights
+from specwave.spectral import (_cos_sine_inner, _sine_from_cos_matrix, pair_norm_sq,
+                               pair_weights)
 from specwave.validate import _triple_product
 
 SQRT2 = math.sqrt(2.0)
@@ -211,6 +212,21 @@ class TestPairState:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             sw.PairState([1.0, 2.0], [1.0])
+
+
+class TestCosSineInner:
+    @pytest.mark.parametrize("m_max, n_max", [(768, 512), (512, 256), (769, 300), (8, 4),
+                                              (1, 1)])
+    def test_half_fill_keeps_the_bits(self, m_max, n_max):
+        # the full-table formula that filled the zeros by np.where
+        m = np.arange(m_max + 1, dtype=np.float64)[:, None]
+        j = np.arange(1, n_max + 1, dtype=np.float64)[None, :]
+        odd = (m + j) % 2 == 1
+        denom = np.where(odd, j * j - m * m, 1.0)
+        want = np.where(odd, 2.0 * SQRT2 * j / (np.pi * denom), 0.0)
+        got = _cos_sine_inner(m_max, n_max)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert not np.signbit(got[~odd]).any()
 
 
 class TestGridWorkspace:
