@@ -24,12 +24,13 @@ import numpy as np
 
 from . import __version__, mc
 from .analysis import fit_rate, predicted_exponent, theoretical_weak_bound
-from .config import (ConfigError, RunSetup, bound_params_from_declared, load_bound_params,
+from .config import (ConfigError, RunSetup, _too_large, declared_bounds, load_bound_params,
                      load_config)
 from .integrator import BlowUpError, SimConfig, _raise_if_norm_overflow
 from .integrator import step  # noqa: F401  perfbench/tracing.py counts specwave.cli.step
 from .mc import run_study
-from .spectral import norm_bold_hr, pair_norm_sq, pair_weights
+from .spectral import norm_bold_hr  # noqa: F401  perfbench/tracing.py counts it here
+from .spectral import pair_norm_sq, pair_weights
 
 DEFAULT_SEED = 12345
 # simulate reduces its norm rows this many steps at a time
@@ -88,29 +89,13 @@ def _write_manifest(out_dir: str, digest: str, seed: int, cfg: SimConfig,
     })
 
 
-def _moment_envelope(setup: RunSetup) -> float:
-    """The moment monitor's a-priori envelope from the declared norms.
-
-    Raises ConfigError on field declared_norms where it leaves float range.
-    """
-    cfg, d = setup.config, setup.declared
-    with np.errstate(over="ignore"):
-        env = max(1.0, norm_bold_hr(cfg.initial, setup.monitor_rho, cfg.model)) \
-            * float(np.exp(cfg.t_final * (d["moment_f_lip"] + 0.5 * d["moment_b_hs"] ** 2)))
-    if not np.isfinite(env):
-        raise ConfigError("declared_norms", "the moment envelope max(1, |initial|) * "
-                                            "exp(t_final (moment_f_lip + moment_b_hs^2 / 2)) "
-                                            "overflows float range")
-    return env
-
-
 def _build_report(setup: RunSetup, report: mc.StudyReport, n_paths: int, seed: int,
-                  bounds, expo) -> dict | None:
+                  declared) -> dict | None:
     """report.json's content for one study, or None where it refuses to fit.
 
-    bounds holds the weak bound at every study level and expo its exponent
-    pair; both are None without declared norms.  Reads nothing but its
-    arguments and writes nothing.
+    declared is config.declared_bounds(setup): the weak bound at every study
+    level, its exponent pair and the moment envelope, or None without declared
+    norms.  Reads nothing but its arguments and writes nothing.
     """
     cfg = setup.config
     weak = np.abs(report.weak_error)
@@ -162,7 +147,8 @@ def _build_report(setup: RunSetup, report: mc.StudyReport, n_paths: int, seed: i
         "sup_stderr": [float(v) for v in sup_se],
     }
 
-    if bounds is not None:
+    if declared is not None:
+        bounds, expo, envelope = declared
         d = setup.declared
         satisfied = bool(np.all(weak - 3.0 * report.weak_stderr <= np.asarray(bounds)))
         out["bound"] = {
@@ -174,13 +160,12 @@ def _build_report(setup: RunSetup, report: mc.StudyReport, n_paths: int, seed: i
             "n_exponent": expo.n_exponent,
             "dominates_measured": satisfied,
         }
-        if "moment_f_lip" in d:
-            env = _moment_envelope(setup)
+        if envelope is not None:
             sups = np.sqrt(sup_mean)
             # 3-stderr slack on the mean square, mapped through the square root
             slack = 3.0 * sup_se / (2.0 * np.maximum(sups, 1e-300))
-            ok = bool(np.all(np.maximum(1.0, sups - slack) <= env))
-            out["moment_monitor"]["envelope"] = env
+            ok = bool(np.all(np.maximum(1.0, sups - slack) <= envelope))
+            out["moment_monitor"]["envelope"] = envelope
             out["moment_monitor"]["below_envelope"] = ok
     return out
 
@@ -241,20 +226,8 @@ def cmd_convergence(args) -> int:
         raise ConfigError("paths", f"a study needs at least 2 paths, got {n_paths}")
     if args.workers is not None and args.workers < 1:
         raise ConfigError("workers", f"need at least 1 worker, got {args.workers}")
-    bounds = expo = None
-    if setup.declared is not None:
-        # every bound input but lambda_cut is checked and formed once, the bound
-        # evaluated at every level and the moment envelope checked, before the
-        # first path runs
-        params, expo = bound_params_from_declared(setup)
-        try:
-            # lambda_cut of level L is |lam| of mode L + 1, lam[L]
-            bounds = [theoretical_weak_bound(params(lambda_cut=float(-cfg.model.lam[level])))
-                      for level in cfg.levels]
-        except ValueError as exc:
-            raise ConfigError("declared_norms", str(exc)) from None
-        if "moment_f_lip" in setup.declared:
-            _moment_envelope(setup)
+    # the bound at every level and the moment envelope, checked before the first path
+    declared = declared_bounds(setup)
     out_dir = _out_dir(args, setup)
 
     report = run_study(cfg, setup.functional, n_paths, seed,
@@ -268,7 +241,7 @@ def cmd_convergence(args) -> int:
                      f"{n_paths}\n")
     _write_manifest(out_dir, setup.digest, seed, cfg, n_paths)
 
-    out = _build_report(setup, report, n_paths, seed, bounds, expo)
+    out = _build_report(setup, report, n_paths, seed, declared)
     if out is None:
         print("convergence: error estimates indistinguishable from zero at 2 stderr; "
               "not fitting rates", file=sys.stderr)
@@ -358,8 +331,10 @@ def main(argv=None) -> int:
     except BlowUpError as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
         return 3
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:
         # a size no check above bounds, such as time.n_steps or --paths
+        if not _too_large(exc):
+            raise
         print(f"config error: {ConfigError('config', str(exc))}", file=sys.stderr)
         return 2
 

@@ -17,12 +17,11 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from . import mc
-from .analysis import BoundParams, ExponentPair, predicted_exponent
+from .analysis import BoundParams, ExponentPair, predicted_exponent, theoretical_weak_bound
 from .coefficients import PRESETS, CoefficientSpec, preset
 from .integrator import SimConfig
 from .spectral import PairState, build_model, hs_norm_lambda_pow, norm_bold_hr, pair_weights
@@ -254,14 +253,26 @@ def load_config(path: str) -> RunSetup:
     return RunSetup(config, functional, n_paths, monitor_rho, declared, out_dir, digest)
 
 
+# numpy's ValueError texts for a shape it cannot index
+_UNINDEXABLE = ("Maximum allowed dimension exceeded", "array is too big",
+                "Maximum allowed size exceeded")
+
+
+def _too_large(exc: Exception) -> bool:
+    """Whether exc says an array could not be allocated or indexed."""
+    return isinstance(exc, MemoryError) or (
+        isinstance(exc, ValueError) and str(exc).startswith(_UNINDEXABLE))
+
+
 def _wrap(builder, field, prefix="", sized_by=None):
-    """builder(); its ValueError a ConfigError on field, its MemoryError one on
-    the key of sized_by, the section.key of the size that could not be allocated."""
+    """builder(); its ValueError a ConfigError on field, but an array too large
+    to allocate or index one on the key of sized_by, the section.key of that
+    size, or raised as it is without sized_by."""
     try:
         return builder()
-    except ValueError as exc:
-        raise ConfigError(field, f"{prefix}{exc}") from None
-    except MemoryError as exc:
+    except (ValueError, MemoryError) as exc:
+        if not _too_large(exc):
+            raise ConfigError(field, f"{prefix}{exc}") from None
         if sized_by is None:
             raise
         raise ConfigError(sized_by.split(".")[1], f"{sized_by} too large: {exc}") from None
@@ -379,35 +390,52 @@ def load_bound_params(path: str) -> BoundParams:
     return BoundParams(**values)
 
 
-def bound_params_from_declared(setup: RunSetup) -> tuple[partial, ExponentPair]:
-    """The bound's inputs but lambda_cut, from the declared norms, and its exponents.
+def declared_bounds(setup: RunSetup) -> tuple[list[float], ExponentPair, float | None] | None:
+    """What the declared norms imply: the weak bound at every study level, its
+    exponent pair and the moment monitor's envelope; None without declared norms.
 
-    Checks the (gamma, beta) window and sums the Hilbert-Schmidt factor, so a
-    norm set the bound rejects raises ConfigError before any path runs.  The
-    returned partial takes ``lambda_cut`` and gives the BoundParams of one
-    level.  Initial-state norms are computed exactly (the initial state is
+    The envelope max(1, |initial| at rho_monitor) exp(t_final (moment_f_lip +
+    moment_b_hs^2 / 2)) is None unless that pair is declared.  Checks, in this
+    order, the (gamma, beta) window, the Hilbert-Schmidt sum, the bound at each
+    level and the envelope's float range, each a ConfigError on field
+    declared_norms, so a norm set the bound rejects stops a study before its
+    first path.  Initial-state norms are computed exactly (the initial state is
     deterministic); the Hilbert-Schmidt factor gets a conservative upper
     estimate folding in the summation tolerance.
     """
     d = setup.declared
+    if d is None:
+        return None
+    cfg = setup.config
+    model, initial = cfg.model, cfg.initial
     gamma, beta, hs_tol = d["gamma"], d["beta"], d["hs_tol"]
     exponents = _wrap(lambda: predicted_exponent(gamma, beta), "declared_norms")
-    model = setup.config.model
-    initial = setup.config.initial
     try:
         hs = hs_norm_lambda_pow(model.theta, beta, hs_tol)
     except ValueError as exc:
         raise ConfigError("declared_norms",
                           f"declared_norms.beta and hs_tol: {exc}") from None
-    params = partial(
-        BoundParams,
-        t_final=setup.config.t_final,
+    inputs = dict(
+        t_final=cfg.t_final,
         xi_l2_rho=norm_bold_hr(initial, d["rho"], model),
         xi_l1_smooth=norm_bold_hr(initial, 2.0 * (gamma - beta), model),
         lambda_pow_hs=float(np.sqrt(hs * hs + hs_tol**2)),
         **{key: d[key] for key in _DECLARED_BOUND},
     )
-    return params, exponents
+    # lambda_cut of level L is |lam| of mode L + 1, lam[L]
+    bounds = _wrap(lambda: [
+        theoretical_weak_bound(BoundParams(lambda_cut=float(-model.lam[level]), **inputs))
+        for level in cfg.levels], "declared_norms")
+    if _MOMENT_PAIR[0] not in d:
+        return bounds, exponents, None
+    with np.errstate(over="ignore"):
+        envelope = max(1.0, norm_bold_hr(initial, setup.monitor_rho, model)) \
+            * float(np.exp(cfg.t_final * (d["moment_f_lip"] + 0.5 * d["moment_b_hs"] ** 2)))
+    if not np.isfinite(envelope):
+        raise ConfigError("declared_norms", "the moment envelope max(1, |initial|) * "
+                                            "exp(t_final (moment_f_lip + moment_b_hs^2 / 2)) "
+                                            "overflows float range")
+    return bounds, exponents, envelope
 
 
 def _load_json(path: str) -> tuple[dict, str]:

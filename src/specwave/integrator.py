@@ -49,18 +49,17 @@ __all__ = [
 
 class BlowUpError(RuntimeError):
     """A simulated state, or a squared norm of it, left the finite range;
-    carries provenance."""
+    carries provenance.  step_index is the time-grid index of the first bad
+    state, 0 for the initial state; what is not known is left out."""
 
-    def __init__(self, step_index, level=None, path_index=None, what="non-finite state"):
+    def __init__(self, step_index=None, level=None, path_index=None,
+                 what="non-finite state"):
         self.step_index = step_index
         self.level = level
         self.path_index = path_index
-        where = f"step {step_index}"
-        if level is not None:
-            where += f", level {level}"
-        if path_index is not None:
-            where += f", path {path_index}"
-        super().__init__(f"{what} at {where}")
+        where = ", ".join(f"{name} {val}" for name, val in (
+            ("step", step_index), ("level", level), ("path", path_index)) if val is not None)
+        super().__init__(f"{what} at {where}" if where else what)
 
 
 @dataclass(frozen=True)
@@ -117,8 +116,7 @@ def path_seed(master_seed: int, path_index: int) -> np.random.SeedSequence:
 
 
 def step(state: PairState, dt: float, dw: np.ndarray, spec: CoefficientSpec,
-         grid: GridWorkspace, model: SpectralModel,
-         step_index: int | None = None) -> PairState:
+         grid: GridWorkspace, model: SpectralModel) -> PairState:
     """One exponential-Euler step: add increments, then rotate exactly.
 
     ``dw`` holds the noise increments <e_k, dW> of the step, k = 1..M.
@@ -136,7 +134,7 @@ def step(state: PairState, dt: float, dw: np.ndarray, spec: CoefficientSpec,
             vel = vel + dt * dv
         new_pos, new_vel = propagate_arrays(state.pos, vel, cos_t, sin_t, mu)
     if not (np.all(np.isfinite(new_pos)) and np.all(np.isfinite(new_vel))):
-        raise BlowUpError(step_index)
+        raise BlowUpError()
     return PairState(new_pos, new_vel)
 
 
@@ -616,7 +614,7 @@ def _step_block(config, levels, path_indices, master_seed, coarsen, monitor, obs
                         np.multiply(swapped, sines, out=tmp)
                         x_rows *= cos_t
                         x_rows += tmp
-                    _raise_if_nonfinite(k, level, path_indices, x)
+                    _raise_if_nonfinite(k + 1, level, path_indices, x)
                     if monitor is not None:
                         _record_moment(moment_sums[i, k + 1], pos, vel, *moment_weights[i],
                                        whole)
@@ -698,7 +696,8 @@ def _raise_if_norm_overflow(levels, bad):
 
 
 def _raise_if_nonfinite(step_index, level, path_indices, x):
-    """Raise BlowUpError naming the first path with a non-finite entry in x[:, path]."""
+    """Raise BlowUpError naming the first path with a non-finite entry in x[:, path],
+    the state at time-grid step step_index."""
     # a NaN or infinity poisons the sum; locate precisely only then
     if not math.isfinite(np.add.reduce(x, None)):
         bad = np.flatnonzero(~np.isfinite(x).all(axis=(0, 2)))

@@ -138,7 +138,7 @@ class TestSimulate:
         run = run_python("-m", "specwave.cli", "simulate", "--config", cfg, "--seed", "1",
                          "--out", str(tmp_path / "x"))
         assert run.returncode == 3
-        assert "step 0, level 16, path 0" in run.stderr
+        assert "step 1, level 16, path 0" in run.stderr
         assert "RuntimeWarning" not in run.stderr
 
     def test_blow_up_names_level_and_path(self, tmp_path, capsys):
@@ -419,11 +419,11 @@ class TestBuildReport:
     ], ids=["weak-at-two-stderr", "weak-inside", "strong-at-two-stderr", "strong-negative"])
     def test_refuses_to_fit_noise(self, tmp_path, changes):
         assert _build_report(self.setup(tmp_path), self.study(**changes), 400, 3,
-                             None, None) is None
+                             None) is None
 
     def test_rates_functional_and_monitor(self, tmp_path):
         setup = self.setup(tmp_path)
-        out = _build_report(setup, self.study(), 400, 3, None, None)
+        out = _build_report(setup, self.study(), 400, 3, None)
         assert set(out) == {"reference_level", "reference_carries_noise", "reference_note",
                             "master_seed", "n_paths", "levels", "functional", "weak",
                             "strong", "moment_monitor"}
@@ -446,7 +446,7 @@ class TestBuildReport:
     ], ids=["drops-noise", "carries-noise"])
     def test_reference_note(self, tmp_path, n_ref, carries, clause):
         setup = self.setup(tmp_path, n_ref=n_ref, grid_points=64)
-        out = _build_report(setup, self.study(), 400, 3, None, None)
+        out = _build_report(setup, self.study(), 400, 3, None)
         assert out["reference_level"] == n_ref
         assert out["reference_carries_noise"] is carries
         assert out["reference_note"] == (
@@ -463,7 +463,7 @@ class TestBuildReport:
         declared = {k: v for k, v in self.declared().items() if not k.startswith("moment")}
         setup = self.setup(tmp_path, declared)
         expo = sw.ExponentPair(0.2, 0.4)
-        out = _build_report(setup, self.study(), 400, 3, bounds, expo)
+        out = _build_report(setup, self.study(), 400, 3, (bounds, expo, None))
         assert out["bound"] == {"gamma": 0.9, "beta": 0.7, "rho": 0.45, "values": bounds,
                                 "lambda_exponent": 0.2, "n_exponent": 0.4,
                                 "dominates_measured": dominates}
@@ -474,15 +474,14 @@ class TestBuildReport:
         (5.0, False),
     ], ids=["below", "above"])
     def test_envelope(self, tmp_path, peak, below):
+        # the root of a sup of 2.0 clears 1.5 by more than its slack, that of 5.0
+        # is above it
         setup = self.setup(tmp_path, self.declared())
         moments = np.ones((4, 4))
         moments[1, 2] = peak
-        out = _build_report(setup, self.study(moment_mean=moments), 400, 3, [0.1] * 3,
-                            sw.ExponentPair(0.2, 0.4))
-        # max(1, ||X_0|| at rho) exp(T (f_lip + b_hs^2 / 2)); X_0 = e_1, T = 1
-        norm0 = math.pi ** 0.25
-        want = max(1.0, norm0) * math.exp(0.5 * 0.5774 ** 2)
-        assert out["moment_monitor"]["envelope"] == pytest.approx(want, rel=1e-14)
+        out = _build_report(setup, self.study(moment_mean=moments), 400, 3,
+                            ([0.1] * 3, sw.ExponentPair(0.2, 0.4), 1.5))
+        assert out["moment_monitor"]["envelope"] == 1.5
         assert out["moment_monitor"]["below_envelope"] is below
 
     @staticmethod

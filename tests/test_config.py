@@ -1,11 +1,14 @@
 import copy
 import json
+import math
 import os
 
+import numpy as np
 import pytest
 
+import specwave as sw
 from specwave.cli import main
-from specwave.config import ConfigError, load_bound_params, load_config
+from specwave.config import ConfigError, declared_bounds, load_bound_params, load_config
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 # configs/ holds run configs and the flat bound-parameter files of `specwave bound`
@@ -214,10 +217,14 @@ def test_non_finite_number_exits_two(tmp_path, capsys, section, key, value, fiel
     ("model", "n_ref", 10**12),
     ("noise", "m_noise", 10**12),
     ("model", "grid_points", 10**12),
+    ("model", "n_ref", 10**19),
+    ("noise", "m_noise", 10**19),
+    ("model", "grid_points", 10**19),
 ], ids=["t_final-zero", "n_steps-zero", "m_noise-zero", "grid_points-below-n_ref",
         "n_ref-zero", "rho_monitor-overflows-weights", "rho_monitor-overflows-squared-weights",
         "theta-overflows-eigenvalues", "theta-overflows-squared-weights", "n_paths-one",
-        "n_ref-unallocatable", "m_noise-unallocatable", "grid_points-unallocatable"])
+        "n_ref-unallocatable", "m_noise-unallocatable", "grid_points-unallocatable",
+        "n_ref-unindexable", "m_noise-unindexable", "grid_points-unindexable"])
 def test_out_of_range_value_names_its_key(tmp_path, capsys, section, key, value):
     # each used to be reported on field model, and n_ref as "n_modes" on
     # theta; a rho_monitor whose weights |lam|^rho overflow used to write
@@ -228,6 +235,8 @@ def test_out_of_range_value_names_its_key(tmp_path, capsys, section, key, value)
     # blow-up at step 0; one of 1e-200, whose velocity weights 1/|lam| overflow
     # when squared, was blamed on rho_monitor; n_paths 1 let simulate exit 0.
     # A size of 10**12 ended in a numpy _ArrayMemoryError traceback, exit 1;
+    # one of 10**19, numpy's ValueError for a shape it cannot index, was
+    # blamed on theta (n_ref) or on config (m_noise, grid_points);
     # zero_smoke.json leaves the grid at its default 4 * max(n_ref, m_noise)
     cfg = _write(tmp_path, _with(**{section: {**ZERO_SMOKE[section], key: value}}))
     with pytest.raises(ConfigError) as err:
@@ -282,6 +291,53 @@ def test_declared_norm_fault_exits_before_the_study(tmp_path, capsys, monkeypatc
     assert main(["convergence", "--config", cfg, "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not (out / "errors.csv").exists()
+
+
+def _declared_setup(tmp_path, declared, amplitude=1.0):
+    """zero_smoke.json as an Anderson study from X_0 = amplitude e_1 with
+    rho_monitor 0.25."""
+    model = {**ZERO_SMOKE["model"], "initial": {"pos": {"1": amplitude}, "vel": {}}}
+    coefficients = {"preset": "anderson"}
+    if declared is not None:
+        coefficients["declared_norms"] = declared
+    return load_config(_write(tmp_path, _with(
+        model=model, coefficients=coefficients,
+        study={**ZERO_SMOKE["study"], "rho_monitor": 0.25})))
+
+
+class TestDeclaredBounds:
+    def test_flagship_bound_at_every_level(self):
+        setup = load_config(os.path.join(CONFIG_DIR, "anderson_acceptance.json"))
+        bounds, expo, _ = declared_bounds(setup)
+        cfg, d = setup.config, setup.declared
+        hs = sw.hs_norm_lambda_pow(cfg.model.theta, d["beta"], d["hs_tol"])
+        given = {k: v for k, v in d.items() if k not in ("rho", "hs_tol", "moment_f_lip",
+                                                         "moment_b_hs")}
+        want = [sw.theoretical_weak_bound(sw.BoundParams(
+            t_final=cfg.t_final,
+            xi_l2_rho=sw.norm_bold_hr(cfg.initial, d["rho"], cfg.model),
+            xi_l1_smooth=sw.norm_bold_hr(cfg.initial, 2.0 * (d["gamma"] - d["beta"]),
+                                         cfg.model),
+            lambda_pow_hs=float(np.sqrt(hs * hs + d["hs_tol"] ** 2)),
+            lambda_cut=-cfg.model.lam[level], **given)) for level in cfg.levels]
+        assert bounds == want
+        assert expo == sw.predicted_exponent(d["gamma"], d["beta"])
+
+    @pytest.mark.parametrize("amplitude", [1.0, 0.5])
+    def test_envelope(self, tmp_path, amplitude):
+        _, _, envelope = declared_bounds(_declared_setup(tmp_path, DECLARED, amplitude))
+        # max(1, ||X_0|| at rho) exp(T (f_lip + b_hs^2 / 2)); X_0 = a e_1, T = 1,
+        # whose norm pi^0.25 a is above 1 at a = 1 and below it at a = 0.5
+        want = max(1.0, amplitude * math.pi ** 0.25) * math.exp(0.5 * 0.5774 ** 2)
+        assert envelope == pytest.approx(want, rel=1e-14)
+
+    def test_no_envelope_without_the_moment_pair(self, tmp_path):
+        setup = _declared_setup(tmp_path, _declared(drop=("moment_f_lip", "moment_b_hs")))
+        bounds, _, envelope = declared_bounds(setup)
+        assert len(bounds) == 3 and envelope is None
+
+    def test_none_without_declared_norms(self, tmp_path):
+        assert declared_bounds(_declared_setup(tmp_path, None)) is None
 
 
 @pytest.mark.parametrize("text", [
@@ -380,14 +436,21 @@ def test_unreadable_config_path_exits_two(tmp_path, capsys, command):
     assert "(field: config)" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, obj, flags", [
-    ("simulate", _with(time={**ZERO_SMOKE["time"], "n_steps": 10**15}), []),
-    ("convergence", ZERO_SMOKE, ["--paths", str(10**10)]),
-], ids=["n_steps", "paths"])
-def test_unallocatable_run_exits_two(tmp_path, capsys, command, obj, flags):
+@pytest.mark.parametrize("command, obj, flags, text", [
+    ("simulate", _with(time={**ZERO_SMOKE["time"], "n_steps": 10**15}), [],
+     "Unable to allocate"),
+    ("convergence", ZERO_SMOKE, ["--paths", str(10**10)], "Unable to allocate"),
+    ("simulate", _with(time={**ZERO_SMOKE["time"], "n_steps": 2**62}), [], None),
+    ("convergence", ZERO_SMOKE, ["--paths", str(10**19)], None),
+    ("convergence", _with(study={**ZERO_SMOKE["study"], "n_paths": 10**30}), [], None),
+], ids=["n_steps", "paths", "n_steps-unindexable", "paths-unindexable",
+        "n_paths-unindexable"])
+def test_unallocatable_run_exits_two(tmp_path, capsys, command, obj, flags, text):
     # simulate's norm table and the study's per-path arrays used to end in a
-    # numpy _ArrayMemoryError traceback with exit 1
+    # numpy _ArrayMemoryError traceback with exit 1, and a shape numpy cannot
+    # index in a ValueError traceback with exit 1
     cfg = _write(tmp_path, obj)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), *flags]) == 2
     err = capsys.readouterr().err
-    assert "Unable to allocate" in err and "(field: config)" in err
+    assert "(field: config)" in err
+    assert text is None or text in err

@@ -65,8 +65,10 @@ class TestStep:
         st = sw.PairState(np.full(8, 1e308), np.zeros(8))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(sw.BlowUpError):
+            with pytest.raises(sw.BlowUpError) as err:
                 step(st, 0.1, np.zeros(8), sw.preset("zero"), grid32, model8)
+        # a single step knows no time grid, level or path, so names none
+        assert str(err.value) == "non-finite state"
 
     def test_rejects_nonpositive_dt(self, model8, grid32):
         st = sw.PairState(np.zeros(8), np.zeros(8))
@@ -663,13 +665,14 @@ class TestBlowUp:
 
     @pytest.mark.parametrize("case", ["rotation-overflow", "exploding"])
     def test_chunk_blow_up_is_quiet(self, case):
-        # an overflow in the stepping loop warns nothing; the probe names it
+        # an overflow in the stepping loop warns nothing; the probe names it,
+        # at the time-grid index of the first bad state
         if case == "rotation-overflow":
             # mu sin(mu dt) times 1e308 overflows in the rotation itself
             cfg = zero_config(initial_pos=np.full(8, 1e308))
-            where = "step 0, level 8, path 3"
+            where = "step 1, level 8, path 3"
         else:
-            cfg, where = self._exploding_config(), "step 1, level 8, path 3"
+            cfg, where = self._exploding_config(), "step 2, level 8, path 3"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(sw.BlowUpError, match=where):
@@ -691,8 +694,8 @@ class TestBlowUp:
                            spec=spec, initial=sw.PairState(np.ones(8), np.zeros(8)))
         with pytest.raises(sw.BlowUpError) as err:
             run_chunk(cfg, (8, 4), range(3, 7), 14)
-        assert (err.value.step_index, err.value.level, err.value.path_index) == (0, 8, 5)
-        assert "step 0, level 8, path 5" in str(err.value)
+        assert (err.value.step_index, err.value.level, err.value.path_index) == (1, 8, 5)
+        assert "step 1, level 8, path 5" in str(err.value)
 
 
 class TestCoarsening:
