@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Real
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -95,9 +96,15 @@ def theoretical_weak_bound(params: BoundParams) -> float:
     Hilbert-Schmidt-weighted squared diffusion norm, a curvature factor
     1 v sqrt(T (C_F^2 + 2 C_B^2)), two exponential Gronwall factors, and the
     spectral-gap power lambda_cut^(beta - gamma).  Raises ValueError when a
-    hypothesis fails or the value is not a finite float.
+    hypothesis fails, an input is not a finite number or the value is not a
+    finite float.
     """
     p = params
+    for name in (f.name for f in fields(p)):
+        value = getattr(p, name)
+        # a nan passes every comparison below, and max(1.0, nan) is 1.0
+        if not (isinstance(value, Real) and math.isfinite(value)):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
     expo = predicted_exponent(p.gamma, p.beta)
     if not p.lambda_cut > 0:
         raise ValueError(

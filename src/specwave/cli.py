@@ -15,6 +15,7 @@ seed exits 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -66,8 +67,14 @@ def _write_json(path: str, obj) -> None:
 
 
 def _out_dir(args, setup: RunSetup) -> str:
-    """The output directory, --out else the config's else ".", created."""
+    """The output directory, --out else the config's else ".", created; the
+    directories made, deepest first, go to args.made_dirs for main to take
+    back if the run fails."""
     out_dir, field = (args.out, "out") if args.out else (setup.out_dir or ".", "directory")
+    args.made_dirs, head = [], os.path.abspath(out_dir)
+    while not os.path.lexists(head):
+        args.made_dirs.append(head)
+        head = os.path.dirname(head)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -187,7 +194,7 @@ def cmd_simulate(args) -> int:
     rows = np.empty((2, _NORM_ROWS, cfg.n_ref))
     norms = np.empty((2, k_last + 1))
 
-    def observe(i, k, pos, vel):
+    def observe(i, k, pos, vel, square):
         r = k % _NORM_ROWS
         rows[0, r] = pos[0]
         rows[1, r] = vel[0]
@@ -243,6 +250,10 @@ def cmd_convergence(args) -> int:
 
     out = _build_report(setup, report, n_paths, seed, declared)
     if out is None:
+        # the directory holds this run's errors.csv and manifest, so an
+        # earlier run's report.json may not stay beside them
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, "report.json"))
         print("convergence: error estimates indistinguishable from zero at 2 stderr; "
               "not fitting rates", file=sys.stderr)
         return 4
@@ -321,22 +332,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    code = 1
     try:
         if hasattr(args, "seed"):
             args.seed = _seed(args.seed)
-        return args.fn(args)
+        code = args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except BlowUpError as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
-        return 3
+        code = 3
     except (MemoryError, ValueError) as exc:
         # a size no check above bounds, such as time.n_steps or --paths
         if not _too_large(exc):
             raise
         print(f"config error: {ConfigError('config', str(exc))}", file=sys.stderr)
-        return 2
+        code = 2
+    finally:
+        if code:
+            # a failed run takes back the directories it made while they hold no file
+            for path in getattr(args, "made_dirs", ()):
+                try:
+                    os.rmdir(path)
+                except OSError:
+                    break
+    return code
 
 
 def entrypoint() -> None:

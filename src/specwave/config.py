@@ -396,10 +396,11 @@ def declared_bounds(setup: RunSetup) -> tuple[list[float], ExponentPair, float |
 
     The envelope max(1, |initial| at rho_monitor) exp(t_final (moment_f_lip +
     moment_b_hs^2 / 2)) is None unless that pair is declared.  Checks, in this
-    order, the (gamma, beta) window, the Hilbert-Schmidt sum, the bound at each
-    level and the envelope's float range, each a ConfigError on field
-    declared_norms, so a norm set the bound rejects stops a study before its
-    first path.  Initial-state norms are computed exactly (the initial state is
+    order, the (gamma, beta) window, the Hilbert-Schmidt sum, the pair-space
+    weights at rho and 2(gamma - beta), the bound at each level and the
+    envelope's float range, each a ConfigError on field declared_norms, so a
+    norm set the bound rejects stops a study before its first path.
+    Initial-state norms are computed exactly (the initial state is
     deterministic); the Hilbert-Schmidt factor gets a conservative upper
     estimate folding in the summation tolerance.
     """
@@ -415,10 +416,19 @@ def declared_bounds(setup: RunSetup) -> tuple[list[float], ExponentPair, float |
     except ValueError as exc:
         raise ConfigError("declared_norms",
                           f"declared_norms.beta and hs_tol: {exc}") from None
+    # a weight past float range meets a zero mode of the initial state as
+    # inf * 0 = nan, which the bound's max(1, .) would drop
+    smooth = 2.0 * (gamma - beta)
+    for given, r in ((f"rho {d['rho']}", d["rho"]),
+                     (f"gamma and beta: 2(gamma - beta) = {smooth}", smooth)):
+        if not all(np.isfinite(w).all() for w in pair_weights(model, cfg.n_ref, r)):
+            raise ConfigError("declared_norms", f"declared_norms.{given} overflows the "
+                                                f"pair-space weights of model.n_ref="
+                                                f"{cfg.n_ref} modes")
     inputs = dict(
         t_final=cfg.t_final,
         xi_l2_rho=norm_bold_hr(initial, d["rho"], model),
-        xi_l1_smooth=norm_bold_hr(initial, 2.0 * (gamma - beta), model),
+        xi_l1_smooth=norm_bold_hr(initial, smooth, model),
         lambda_pow_hs=float(np.sqrt(hs * hs + hs_tol**2)),
         **{key: d[key] for key in _DECLARED_BOUND},
     )

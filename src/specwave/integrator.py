@@ -209,19 +209,19 @@ def step(state: PairState, dt: float, dw: np.ndarray, spec: CoefficientSpec,
 # scratch is sized by its two block-wide users: the span's increments split
 # by mode parity (span b m_noise, when a product runs), read only by the
 # noise GEMMs at the start of a span, and, per level-step, a pointwise or
-# drift field or the moment monitor's square (b L for the largest level).
-# The monitor squares pos and then vel into it, each meeting its weights in
-# one GEMV over the block.  Everything else a level-step keeps in the
-# scratch is local to a path's row, so the product and the rotation run
-# over tiles of t rows: t is the largest multiple of 64 with t max(2 L, L +
-# 2 h) within that size, and a remainder of fewer than 64 rows joins the
-# tile before.  A level of which fewer than 64 rows fit runs in one tile
-# (so does b < 64, a single path, or a run with no product, no dense field
-# and no monitor), and the scratch grows to hold the largest tile.  Within a tile
-# the scratch holds the tile's parity halves of the position (t L
-# together), followed by two left-half fields o_vals and e_vals (t h each);
-# once the synthesis has read the halves, B's first term O_v E_w takes
-# their place.
+# drift field or the observer's square (b L for the largest level), lent
+# when nothing live is held there; run_study's moment monitor squares pos
+# and then vel into it, each meeting its weights in one GEMV over the block.
+# Everything else a level-step keeps in the scratch is local to a path's
+# row, so the product and the rotation run over tiles of t rows: t is the
+# largest multiple of 64 with t max(2 L, L + 2 h) within that size, and a
+# remainder of fewer than 64 rows joins the tile before.  A level of which
+# fewer than 64 rows fit runs in one tile (so does b < 64, a single path, or
+# a run with no product, no dense field and no observer), and the scratch
+# grows to hold the largest tile.  Within a tile the scratch holds the
+# tile's parity halves of the position (t L together), followed by two
+# left-half fields o_vals and e_vals (t h each); once the synthesis has
+# read the halves, B's first term O_v E_w takes their place.
 # E_v E_w is written over the tile's rows of the step's even noise values
 # and E_v O_w over e_vals, and the analysis writes the product's odd- and
 # even-mode coefficients over the fronts of those rows (h >= ceil(L / 2)):
@@ -246,7 +246,7 @@ def step(state: PairState, dt: float, dw: np.ndarray, spec: CoefficientSpec,
 # scratch, so concurrent blocks share none.  On a flagship block (b = 512)
 # the reference runs in four tiles of 128 rows and the levels in one, the
 # scratch is 131 072 doubles, the block 11.5 MB, and tracemalloc reads
-# 12.1 MB with the monitor.
+# 12.1 MB with the moment monitor.
 
 def _sine_synthesis(n_modes: int, p: int) -> np.ndarray:
     """e_n at the interior nodes q/p: entry [n-1, q-1] for n <= n_modes, q < p."""
@@ -381,7 +381,7 @@ def _coarse_steps(n_steps: int, coarsen: int) -> int:
 @_single_blas_thread()
 def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
               master_seed: int, *, coarsen: int = 1, phi=None,
-              strong_vs_first: bool = False, monitor=None, observe=None):
+              strong_vs_first: bool = False, observe=None):
     """Advance one block of coupled paths through all requested levels.
 
     The call runs on one BLAS thread, so no sum's order depends on the
@@ -392,12 +392,10 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
     one row per path, not copies.  ``phi`` adds the functional values per
     path and level under ``"phi"``; ``strong_vs_first`` the squared
     pair-space gaps to levels[0], the reference, under ``"strong_sq"``.
-    ``monitor = (weights, sums)`` records the moment monitor: at every step
-    k = 0..n_steps/coarsen, sums[i, k] gets the sum over paths of levels[i]'s
-    squared norm under the weights[i] = (w_pos, w_vel), and of its square
-    (``_record_moment``).  ``observe(i, k, pos, vel)``, if given, sees the
-    same views of levels[i]'s state at every step k, inside the engine's
-    error state; they are valid only during the call.
+    ``observe(i, k, pos, vel, square)``, if given, sees the views of levels[i]'s
+    state at every step k = 0..n_steps/coarsen, inside the engine's error state,
+    and ``square``, scratch of their shape that it may overwrite (the moment
+    monitor squares into it); all are valid only during the call.
     """
     b = len(path_indices)
     if b < 1:
@@ -408,8 +406,7 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
     # the noise buffers, the generators and the scratch die with
     # _step_block's frame, before the functional and the gaps allocate
     # their temporaries
-    states = _step_block(config, levels, path_indices, master_seed, coarsen, monitor,
-                         observe)
+    states = _step_block(config, levels, path_indices, master_seed, coarsen, observe)
     model = config.model
     out = {"states": states}
     if phi is not None:
@@ -429,7 +426,7 @@ def run_chunk(config: SimConfig, levels: tuple[int, ...], path_indices: range,
     return out
 
 
-def _step_block(config, levels, path_indices, master_seed, coarsen, monitor, observe):
+def _step_block(config, levels, path_indices, master_seed, coarsen, observe):
     """run_chunk's stepping: each level's terminal (pos, vel)."""
     model, spec, grid = config.model, config.spec, config.grid
     b = len(path_indices)
@@ -452,12 +449,12 @@ def _step_block(config, levels, path_indices, master_seed, coarsen, monitor, obs
         bw = np.empty((b, g)) if pointwise else None
 
     # the scratch is sized by its block-wide users, the span's split
-    # increments and a dense field or the monitor's square; each level's
+    # increments and a dense field or the observer's square; each level's
     # product and rotation then run over as many rows at once as fit (see
     # the engine notes), and only a level of which not one tile fits grows it
     span = max(1, _NOISE_SPAN_BYTES // (8 * b * m))
     size = span * b * m if beta != 0.0 else 0
-    if dense or monitor is not None:
+    if dense or observe is not None:
         size = max(size, b * max(levels, default=0))
     plans = []
     for level in levels:
@@ -472,7 +469,7 @@ def _step_block(config, levels, path_indices, master_seed, coarsen, monitor, obs
     # per level: (level, x, whole, cos_t, sines, tables, products,
     # rotations), all views built here so that the step loop indexes
     # nothing.  whole is a (paths, modes) view of the scratch, a dense
-    # field's or the monitor's square, and sines = (sin/mu, -mu sin) meets
+    # field's or the observer's square, and sines = (sin/mu, -mu sin) meets
     # x[::-1].  An Anderson product holds its grid's weighted noise values w
     # (odd/even, step of the span, path, node), formed by one GEMM pair per
     # span (``noise_runs``), and its mirror-half tables; each of its row
@@ -490,7 +487,7 @@ def _step_block(config, levels, path_indices, master_seed, coarsen, monitor, obs
         pos, vel = x
         cos_t, sin_t, mu = rotation_tables(model, dt, level)
         sines = np.stack([sin_t / mu, -mu * sin_t])[:, None, :]
-        whole = _carve(scratch, (b, level))[0] if dense or monitor is not None else None
+        whole = _carve(scratch, (b, level))[0] if dense or observe is not None else None
         w, tables, products, rotations = None, None, [], []
         if beta != 0.0:
             w = np.empty((2, span, b, h))
@@ -519,17 +516,13 @@ def _step_block(config, levels, path_indices, master_seed, coarsen, monitor, obs
     if noise_runs:
         # the span's increments split by mode parity, read only by the noise GEMMs
         dw_odd, dw_even = _carve(scratch, (span, b, (m + 1) // 2), (span, b, m // 2))
-    if monitor is not None:
-        moment_weights, moment_sums = monitor
 
     # a non-finite coefficient field leaves the rotated state non-finite, so
     # the one probe per level-step reports it as a blow-up of its path
     with np.errstate(over="ignore", invalid="ignore"):
         for i, (_, x, whole, *_) in enumerate(runs):
-            if monitor is not None:
-                _record_moment(moment_sums[i, 0], *x, *moment_weights[i], whole)
             if observe is not None:
-                observe(i, 0, *x)
+                observe(i, 0, *x, whole)
         k = 0
         fine_done = 0
         while fine_done < config.n_steps:
@@ -615,11 +608,8 @@ def _step_block(config, levels, path_indices, master_seed, coarsen, monitor, obs
                         x_rows *= cos_t
                         x_rows += tmp
                     _raise_if_nonfinite(k + 1, level, path_indices, x)
-                    if monitor is not None:
-                        _record_moment(moment_sums[i, k + 1], pos, vel, *moment_weights[i],
-                                       whole)
                     if observe is not None:
-                        observe(i, k + 1, pos, vel)
+                        observe(i, k + 1, pos, vel, whole)
                 k += 1
 
     return [(x[0], x[1]) for _, x, *_ in runs]
@@ -705,7 +695,7 @@ def _raise_if_nonfinite(step_index, level, path_indices, x):
             raise BlowUpError(step_index, level=level, path_index=path_indices[bad[0]])
 
 
-# the stepping loop calls this through the module global, where
+# run_study's observer calls this through the module, where
 # perfbench/tracing.py counts it
 def _record_moment(out, pos, vel, w_pos, w_vel, square):
     """out[:] = (sum, sum of squares) over paths of the weighted squared

@@ -108,6 +108,15 @@ class TestWeakBound:
         with pytest.raises(ValueError, match="not a finite float"):
             sw.theoretical_weak_bound(params(**overrides))
 
+    @pytest.mark.parametrize("name, value", [
+        ("xi_l2_rho", math.nan), ("f_lip0", math.nan), ("t_final", math.inf),
+        ("lambda_cut", math.inf), ("phi_c2b", "1.0"),
+    ])
+    def test_non_finite_input_raises(self, name, value):
+        # a nan norm passed every check, and max(1, nan) = 1 gave a smaller bound
+        with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+            sw.theoretical_weak_bound(params(**{name: value}))
+
 
 class TestPredictedExponent:
     def test_anderson_limit(self):

@@ -217,6 +217,7 @@ class TestSimulateMatchesStepLoop:
                      "--out", str(tmp_path / "out")]) == 0
 
 
+ZERO_SMOKE = os.path.join(os.path.dirname(__file__), "..", "configs", "zero_smoke.json")
 FLAGSHIP = os.path.join(os.path.dirname(__file__), "..", "configs",
                         "anderson_acceptance.json")
 
@@ -238,7 +239,7 @@ class TestSimulateNormRows:
         cfg, rho = setup.config, setup.monitor_rho
         states = []
 
-        def keep(i, k, pos, vel):
+        def keep(i, k, pos, vel, square):
             states.append((pos[0].copy(), vel[0].copy()))
 
         mc.run_chunk(cfg, (cfg.n_ref,), range(1), 5, observe=keep)
@@ -335,6 +336,20 @@ class TestConvergence:
                      "--out", str(out)]) == 4
         assert (out / "errors.csv").exists()
         assert not (out / "report.json").exists()
+
+    def test_refused_fit_removes_an_earlier_report(self, tmp_path):
+        # a refused fit used to leave the earlier run's report.json beside its
+        # own errors.csv and manifest
+        out = tmp_path / "shared"
+        fitting = write_config(tmp_path, SMALL_ANDERSON)
+        assert main(["convergence", "--config", fitting, "--seed", "3",
+                     "--out", str(out)]) == 0
+        assert (out / "report.json").exists()
+        assert main(["convergence", "--config", ZERO_SMOKE, "--seed", "2",
+                     "--out", str(out)]) == 4
+        assert not (out / "report.json").exists()
+        manifest = json.loads(read(out / "manifest.json"))
+        assert (manifest["master_seed"], manifest["levels"]) == (2, [2, 4, 6])
 
     def test_needs_three_levels(self, tmp_path, capsys):
         few = json.loads(json.dumps(SMALL_ANDERSON))
@@ -543,6 +558,19 @@ class TestOutputGuards:
         err = capsys.readouterr().err
         assert "step 0, level 8" in err and "squared norm" in err and "float range" in err
         assert not (out / written).exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["made", "existing"])
+    def test_failed_run_takes_back_only_the_directories_it_made(self, tmp_path, existing):
+        # a failed run used to leave behind the empty directories it had made
+        cfg = write_config(tmp_path, NORM_OVERFLOW)
+        parent = tmp_path / "runs"
+        out = parent / "b1"
+        if existing:
+            out.mkdir(parents=True)
+        assert main(["convergence", "--config", cfg, "--seed", "1", "--out", str(out)]) == 3
+        assert out.exists() == parent.exists() == existing
+        assert not existing or not any(out.iterdir())
 
     def test_json_refuses_nan_and_writes_no_file(self, tmp_path):
         with pytest.raises(ValueError):

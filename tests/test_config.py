@@ -275,9 +275,13 @@ def _declared(drop=(), **values):
     (_declared(drop=("hs_tol",)), "hs_tol"),
     (_declared(b_lip0_hs=14), "b_lip0_hs"),
     (_declared(moment_f_lip=1000.0), "moment_f_lip"),
+    # weights past float range: inf * 0 on a zero initial mode used to give a
+    # nan norm, which max(1, nan) turned into a smaller, wrong bound
+    (_declared(rho=300.0), "declared_norms.rho 300.0"),
+    (_declared(gamma=300.0, beta=160.0), "declared_norms.gamma and beta"),
 ], ids=["phi_c2b-missing", "phi_c2b-list", "moment_b_hss", "moment_f_lip-alone",
         "beta-outside-window", "hs_tol-default-at-beta-0.7", "b_lip0_hs-overflow",
-        "moment-envelope-overflow"])
+        "moment-envelope-overflow", "rho-weights-overflow", "gamma-beta-weights-overflow"])
 def test_declared_norm_fault_exits_before_the_study(tmp_path, capsys, monkeypatch,
                                                     declared, key):
     # each of these used to run the whole study before failing, or to pass
@@ -454,3 +458,4 @@ def test_unallocatable_run_exits_two(tmp_path, capsys, command, obj, flags, text
     err = capsys.readouterr().err
     assert "(field: config)" in err
     assert text is None or text in err
+    assert not (tmp_path / "o").exists()

@@ -260,7 +260,7 @@ class TestTerminalStates:
         levels = (cfg.n_ref, *cfg.levels)
         last = {}
 
-        def keep(i, k, pos, vel):
+        def keep(i, k, pos, vel, square):
             if k == cfg.n_steps // coarsen:
                 last[i] = (pos.copy(), vel.copy())
 
@@ -293,6 +293,14 @@ class TestPairNormBits:
             dp[:, :level] -= final[level][0]
             dv[:, :level] -= final[level][1]
             assert np.array_equal(out["strong_sq"][:, j], h0_sq(dp, dv, cfg.model))
+
+
+def _moment_observer(weights, sums):
+    """run_study's moment monitor as an observer: sums[i, k] for levels[i]
+    at step k, squared into the scratch the engine lends."""
+    def observe(i, k, pos, vel, square):
+        integrator._record_moment(sums[i, k], pos, vel, *weights[i], square)
+    return observe
 
 
 def _tanh_drift(x, y):
@@ -538,7 +546,8 @@ class TestWorkingSet:
         kwargs = {"phi": sw.exp_neg_norm(), "strong_vs_first": True}
         if monitor:
             weights = [pair_weights(cfg.model, level, 0.0) for level in levels]
-            kwargs["monitor"] = (weights, np.zeros((len(levels), cfg.n_steps + 1, 2)))
+            kwargs["observe"] = _moment_observer(
+                weights, np.zeros((len(levels), cfg.n_steps + 1, 2)))
         run_chunk(cfg, levels, range(b), 5, **kwargs)  # builds the tables
         tracemalloc.start()
         try:
@@ -595,7 +604,7 @@ class TestRowTiles:
         sums = np.zeros((len(levels), cfg.n_steps // coarsen + 1, 2))
         out = run_chunk(cfg, levels, range(3, 3 + b), 61, coarsen=coarsen,
                         phi=sw.exp_neg_norm(), strong_vs_first=True,
-                        monitor=(weights, sums))
+                        observe=_moment_observer(weights, sums))
         return out, sums
 
     @pytest.mark.parametrize("n_ref, m_noise, levels, spec, coarsen, ref_bounds", [
@@ -632,6 +641,38 @@ class TestRowTiles:
         assert np.array_equal(tiled["phi"], whole["phi"])
         assert np.array_equal(tiled["strong_sq"], whole["strong_sq"])
         assert np.array_equal(tiled_sums, whole_sums)
+
+    @pytest.mark.parametrize("b, spec, ref_bounds", [
+        # one path: a span holds every step, and the square lies over the
+        # span's split increments
+        (1, sw.preset("anderson"), (0, 1)),
+        (256, sw.preset("anderson"), TILED),
+        # a drift's field takes the square's room before each rotation
+        (256, sw.CoefficientSpec(drift=_tanh_drift), TILED),
+    ], ids=["one-path", "tiled", "drift"])
+    def test_observer_may_overwrite_its_square(self, monkeypatch, b, spec, ref_bounds):
+        cfg = self._config(256, 256, (4, 8, 16, 32, 64), spec, n_steps=4)
+        levels = (cfg.n_ref, *cfg.levels)
+        assert (integrator._NOISE_SPAN_BYTES // (8 * b * cfg.m_noise) > 1) == (b == 1)
+        plans = []
+        row_tiles = integrator._row_tiles
+
+        def spy(*args):
+            plans.append(row_tiles(*args))
+            return plans[-1]
+        monkeypatch.setattr(integrator, "_row_tiles", spy)
+
+        def poison(i, k, pos, vel, square):
+            square.fill(np.nan)
+
+        kwargs = {"phi": sw.exp_neg_norm(), "strong_vs_first": True}
+        poisoned = run_chunk(cfg, levels, range(b), 61, observe=poison, **kwargs)
+        assert plans[0] == ref_bounds
+        clean = run_chunk(cfg, levels, range(b), 61, **kwargs)
+        for got, want in zip(poisoned["states"], clean["states"]):
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert np.array_equal(poisoned["phi"], clean["phi"])
+        assert np.array_equal(poisoned["strong_sq"], clean["strong_sq"])
 
     @pytest.mark.parametrize("b, fits, bounds", [
         (512, 170, (0, 128, 256, 384, 512)),

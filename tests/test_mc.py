@@ -135,7 +135,7 @@ class TestWeakStrongStudy:
         chunks = mc._chunks(n_paths)
         sums = np.zeros((len(chunks), len(levels), cfg.n_steps + 1, 2))
         for ci, chunk in enumerate(chunks):
-            def observe(i, k, pos, vel, _out=sums[ci]):
+            def observe(i, k, pos, vel, square, _out=sums[ci]):
                 sq = (pos * pos) @ weights[i][0] + (vel * vel) @ weights[i][1]
                 _out[i, k] = sq.sum(), sq @ sq
             run_chunk(cfg, levels, chunk, seed, observe=observe)
@@ -231,7 +231,7 @@ class TestBatchedEngine:
         cfg = zero_config(initial_pos=[1, 0, 0, 0, 0, 0, 0, 0])
         seen = []
 
-        def observe(i, k, pos, vel):
+        def observe(i, k, pos, vel, square):
             inv_lam = 1.0 / cfg.model.abs_lam(pos.shape[1])
             seen.append((i, k, pos.shape, (pos * pos).sum(axis=1)
                          + (vel * vel * inv_lam).sum(axis=1)))
